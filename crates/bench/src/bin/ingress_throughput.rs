@@ -1,12 +1,11 @@
 //! Measures multi-threaded ingress throughput — edges/second at 1, 2 and
 //! 4 threads on a synthetic power-law graph — for one stateless strategy
-//! (Random: the pure-function assignment path), the sequential stateful
-//! baselines (HDRF and Oblivious at window 0: the greedy per-loader-state
-//! path), the windowed speculative stateful paths (HDRF-par and
-//! Oblivious-par at window 4096: parallel scoring + sequential conflict
-//! repair), and the adaptive controller (HDRF-auto at `--window auto`),
-//! and writes the results to `BENCH_ingress.json` in the working
-//! directory.
+//! (Random: the pure-function assignment path) and the two stateful greedy
+//! strategies (HDRF and Oblivious: per-loader state, loaders in parallel),
+//! and writes the results to `BENCH_ingress.json` in the working directory.
+//! Each row is the median of 9 timed passes after one warm-up pass; the
+//! file records the host's core count and `rustc` version, because a row
+//! only holds on the host class where it was measured.
 //!
 //! With `--check` it also acts as the CI `par-smoke` regression gate:
 //!
@@ -14,50 +13,42 @@
 //!   `BENCH_ingress.json` must appear in this run's sweep. A label that
 //!   silently drops out of the bench is a FAILURE, not a skip — that is
 //!   how a parallel path quietly stops being measured.
-//! - **Any host:** windowed HDRF at 1 thread (fixed window and `auto`)
-//!   must be at least as fast as sequential HDRF at 1 thread — the
-//!   speculate/repair machinery and the lane-unrolled scorer must pay for
-//!   themselves even before parallelism enters. Oblivious-par, whose
-//!   scorer is too cheap to hide the window bookkeeping, carries a 0.75x
-//!   regression bound instead of parity.
 //! - **≥ 4 cores:** 4-thread ingress must be at least as fast as 1-thread
 //!   for every sweep (including stateless Random, whose shard merge is the
-//!   reduction tree), and windowed HDRF at 4 threads — fixed window and
-//!   `auto` alike — must reach at least 2x the sequential HDRF baseline:
-//!   the headline speedup the speculative path exists to deliver.
+//!   reduction tree).
 //! - **≥ 2 cores:** 2-thread ingress must be within 10% of 1-thread.
 //! - **1 core:** extra workers can only time-slice the core, so the gates
 //!   degrade to a pathology bound — fail only if 2 threads are slower than
 //!   1 by more than 2x, which would indicate duplicated work rather than
 //!   contention.
 
-use gp_partition::{PartitionContext, Strategy, WINDOW_AUTO};
+use gp_partition::{PartitionContext, Strategy};
 use std::time::Instant;
 
 const VERTICES: u64 = 120_000;
 const EDGES_PER_VERTEX: u64 = 10;
 const PARTITIONS: u32 = 9;
 const THREAD_COUNTS: [u32; 3] = [1, 2, 4];
-/// The production fixed window for the speculative stateful path (also
-/// pinned by `windowed_hdrf_holds_strict_parity_at_scale`).
-const WINDOW: u32 = 4096;
+/// Timed passes per row; the row reports their median.
+const PASSES: usize = 9;
 
-/// Best-of-3 edges/second for one full partitioning pass.
-fn measure(graph: &gp_core::EdgeList, strategy: Strategy, threads: u32, window: u32) -> f64 {
+/// Median edges/second over [`PASSES`] full partitioning passes.
+fn measure(graph: &gp_core::EdgeList, strategy: Strategy, threads: u32) -> f64 {
     let ctx = PartitionContext::new(PARTITIONS)
         .with_seed(1)
-        .with_threads(threads)
-        .with_window(window);
+        .with_threads(threads);
     strategy.build().partition(graph, &ctx); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let out = strategy.build().partition(graph, &ctx);
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(out.assignment.num_edges(), graph.num_edges());
-        best = best.min(dt);
-    }
-    graph.num_edges() as f64 / best
+    let mut secs: Vec<f64> = (0..PASSES)
+        .map(|_| {
+            let t0 = Instant::now();
+            let out = strategy.build().partition(graph, &ctx);
+            let dt = t0.elapsed().as_secs_f64();
+            assert_eq!(out.assignment.num_edges(), graph.num_edges());
+            dt
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    graph.num_edges() as f64 / secs[PASSES / 2]
 }
 
 /// Strategy labels recorded in an existing `BENCH_ingress.json`, so the
@@ -75,50 +66,44 @@ fn committed_labels(path: &str) -> Vec<String> {
         .collect()
 }
 
-/// JSON value for a sweep's window: the auto sentinel serializes as the
-/// string `"auto"` (matching the CLI spelling), fixed windows as numbers.
-fn window_json(window: u32) -> String {
-    if window == WINDOW_AUTO {
-        "\"auto\"".to_string()
-    } else {
-        window.to_string()
-    }
+/// `rustc --version` of the toolchain on `PATH`, or `"unknown"`.
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().replace('"', "'"))
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let prior = committed_labels("BENCH_ingress.json");
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let graph = gp_gen::barabasi_albert(VERTICES, EDGES_PER_VERTEX as u32, 1);
-    // (label, strategy, window): window 0 is the sequential kernel, window
-    // >= 2 the speculative one, WINDOW_AUTO the adaptive controller.
-    let plans: [(&str, Strategy, u32); 6] = [
-        ("Random", Strategy::Random, 0),
-        ("HDRF", Strategy::Hdrf, 0),
-        ("HDRF-par", Strategy::Hdrf, WINDOW),
-        ("HDRF-auto", Strategy::Hdrf, WINDOW_AUTO),
-        ("Oblivious", Strategy::Oblivious, 0),
-        ("Oblivious-par", Strategy::Oblivious, WINDOW),
+    let plans: [(&str, Strategy); 3] = [
+        ("Random", Strategy::Random),
+        ("HDRF", Strategy::Hdrf),
+        ("Oblivious", Strategy::Oblivious),
     ];
-    // sweeps[label] = (window, [(threads, edges/s)])
-    type Sweep = (&'static str, u32, Vec<(u32, f64)>);
-    let mut sweeps: Vec<Sweep> = Vec::new();
-    for (label, strategy, window) in plans {
+    // sweeps[label] = [(threads, edges/s)]
+    let mut sweeps: Vec<(&'static str, Vec<(u32, f64)>)> = Vec::new();
+    for (label, strategy) in plans {
         let mut results = Vec::new();
         for threads in THREAD_COUNTS {
-            let eps = measure(&graph, strategy, threads, window);
-            let w = if window == WINDOW_AUTO {
-                "auto".to_string()
-            } else {
-                window.to_string()
-            };
-            println!("{label:14} w{w:<5} {threads} thread(s): {eps:.0} edges/s");
+            let eps = measure(&graph, strategy, threads);
+            println!("{label:10} {threads} thread(s): {eps:.0} edges/s");
             results.push((threads, eps));
         }
-        sweeps.push((label, window, results));
+        sweeps.push((label, results));
     }
     let sweep_json: Vec<String> = sweeps
         .iter()
-        .map(|(label, window, results)| {
+        .map(|(label, results)| {
             let rows: Vec<String> = results
                 .iter()
                 .map(|(t, eps)| {
@@ -126,30 +111,28 @@ fn main() {
                 })
                 .collect();
             format!(
-                "    {{\n      \"strategy\": \"{label}\",\n      \"window\": {},\n      \
+                "    {{\n      \"strategy\": \"{label}\",\n      \
                  \"results\": [\n{}\n      ]\n    }}",
-                window_json(*window),
                 rows.join(",\n")
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"ingress-throughput\",\n  \"graph\": {{\"model\": \"barabasi-albert\", \
+        "{{\n  \"bench\": \"ingress-throughput\",\n  \"cores\": {cores},\n  \
+         \"rustc\": \"{}\",\n  \"graph\": {{\"model\": \"barabasi-albert\", \
          \"vertices\": {VERTICES}, \"edges_per_vertex\": {EDGES_PER_VERTEX}}},\n  \
          \"partitions\": {PARTITIONS},\n  \"edges\": {},\n  \"sweeps\": [\n{}\n  ]\n}}\n",
+        rustc_version(),
         graph.num_edges(),
         sweep_json.join(",\n"),
     );
     std::fs::write("BENCH_ingress.json", json).expect("write BENCH_ingress.json");
     println!("wrote BENCH_ingress.json");
     if check {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         let mut failed = false;
         // Coverage gate: nothing that was benched before may vanish.
         for label in &prior {
-            if !sweeps.iter().any(|(l, _, _)| l == label) {
+            if !sweeps.iter().any(|(l, _)| l == label) {
                 eprintln!(
                     "par-smoke FAILED: strategy \"{label}\" is in the committed \
                      BENCH_ingress.json but missing from this run's sweep"
@@ -157,7 +140,7 @@ fn main() {
                 failed = true;
             }
         }
-        for (label, _, results) in &sweeps {
+        for (label, results) in &sweeps {
             let one = results[0].1;
             let two = results[1].1;
             let four = results[2].1;
@@ -183,70 +166,6 @@ fn main() {
                 println!(
                     "par-smoke OK [{label}]: 2-thread ingress within {bound_label} of 1-thread \
                      ({two:.0} vs {one:.0} edges/s, {cores} core(s))"
-                );
-            }
-        }
-        let one_thread = |label: &str| -> Option<f64> {
-            sweeps
-                .iter()
-                .find(|(l, _, _)| *l == label)
-                .map(|(_, _, r)| r[0].1)
-        };
-        let four_thread = |label: &str| -> Option<f64> {
-            sweeps
-                .iter()
-                .find(|(l, _, _)| *l == label)
-                .map(|(_, _, r)| r[2].1)
-        };
-        // Single-thread overhead gate, valid on any host: the windowed HDRF
-        // kernel at 1 thread must not lose to its own sequential baseline —
-        // the frozen-aggregate snapshot and lane-unrolled scorer must pay
-        // for the speculate/repair bookkeeping outright. A 2% measurement
-        // allowance keeps timer jitter from flapping the gate; real
-        // speculation overhead shows up far larger. Oblivious's scorer is a
-        // handful of set probes, too cheap to amortize window bookkeeping
-        // at parity, so its pair only carries a 0.75x regression bound.
-        for (windowed, baseline, floor) in [
-            ("HDRF-par", "HDRF", 0.98),
-            ("HDRF-auto", "HDRF", 0.98),
-            ("Oblivious-par", "Oblivious", 0.75),
-        ] {
-            let (Some(w1), Some(b1)) = (one_thread(windowed), one_thread(baseline)) else {
-                continue;
-            };
-            if w1 < floor * b1 {
-                eprintln!(
-                    "par-smoke FAILED [{windowed}]: windowed ingress at 1 thread ({w1:.0} \
-                     edges/s) is under {floor}x sequential {baseline} ({b1:.0} edges/s)"
-                );
-                failed = true;
-            } else {
-                println!(
-                    "par-smoke OK [{windowed}]: 1-thread windowed {w1:.0} edges/s vs {b1:.0} \
-                     sequential ({:.2}x, floor {floor}x)",
-                    w1 / b1
-                );
-            }
-        }
-        // Speculation speedup gate: only meaningful where the workers have
-        // real cores to land on. Both the fixed window and the adaptive
-        // controller must deliver the headline 2x over sequential HDRF.
-        for windowed in ["HDRF-par", "HDRF-auto"] {
-            let (Some(w4), Some(b1)) = (four_thread(windowed), one_thread("HDRF")) else {
-                continue;
-            };
-            if cores >= 4 && w4 < 2.0 * b1 {
-                eprintln!(
-                    "par-smoke FAILED [{windowed}]: windowed ingress at 4 threads ({w4:.0} \
-                     edges/s) is under 2x the sequential HDRF baseline ({b1:.0} edges/s) on \
-                     {cores} cores"
-                );
-                failed = true;
-            } else {
-                println!(
-                    "par-smoke OK [{windowed}]: {w4:.0} edges/s at 4 threads vs {b1:.0} \
-                     sequential ({:.2}x, {cores} core(s))",
-                    w4 / b1
                 );
             }
         }

@@ -90,12 +90,6 @@ pub enum Command {
         /// Ingress worker threads (0 = all cores). Output is byte-identical
         /// at any value.
         threads: u32,
-        /// Speculative ingress window for stateful strategies (0/1 =
-        /// sequential kernel; >= 2 = windowed speculative, quality-parity
-        /// rather than byte-identity with window 0, still byte-identical
-        /// across thread counts; `gp_partition::WINDOW_AUTO`, CLI "auto" =
-        /// adaptive controller).
-        window: u32,
         out: Option<String>,
     },
     /// Recommend a strategy via the paper's decision trees.
@@ -118,8 +112,6 @@ pub enum Command {
         /// Worker threads for ingress and superstep accounting (0 = all
         /// cores). Reports are byte-identical at any value.
         threads: u32,
-        /// Speculative ingress window (see `Partition::window`).
-        window: u32,
     },
     /// Long-running serve: streaming updates, query traffic, drift repair.
     Serve {
@@ -350,6 +342,50 @@ fn parse_dataset(s: &str) -> Result<Dataset, String> {
         })
 }
 
+/// Every flag the parser reads, across all commands. Any other `--name` is
+/// an error, so a typo'd or retired flag fails loudly instead of being
+/// silently ignored.
+const KNOWN_FLAGS: &[&str] = &[
+    "app",
+    "async",
+    "churn-scale",
+    "cluster",
+    "compute-ingress",
+    "crash-at",
+    "drain",
+    "edges",
+    "fair",
+    "help",
+    "horizon",
+    "interval",
+    "loss-rate",
+    "machine",
+    "machines",
+    "natural",
+    "out",
+    "partition-file",
+    "parts",
+    "policy",
+    "preempt",
+    "rebalance-threshold",
+    "rf-threshold",
+    "scale",
+    "scale-out",
+    "seed",
+    "sessions",
+    "speculate",
+    "steps",
+    "strategies",
+    "strategy",
+    "system",
+    "tenants",
+    "threads",
+    "vertices",
+];
+
+/// The [`KNOWN_FLAGS`] that take no value.
+const SWITCHES: &[&str] = &["natural", "help", "async", "speculate", "fair"];
+
 /// Parse command-line arguments (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
@@ -364,8 +400,10 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     while i < rest.len() {
         let a = rest[i];
         if let Some(name) = a.strip_prefix("--") {
-            let takes_value = !matches!(name, "natural" | "help" | "async" | "speculate" | "fair");
-            if takes_value {
+            if !KNOWN_FLAGS.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
+            if !SWITCHES.contains(&name) {
                 let v = rest
                     .get(i + 1)
                     .ok_or_else(|| format!("--{name} needs a value"))?
@@ -380,7 +418,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let name = match short {
                 "o" => "out",
                 "s" => "scale",
-                other => other,
+                other => return Err(format!("unknown flag -{other}")),
             };
             let v = rest
                 .get(i + 1)
@@ -393,13 +431,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             i += 1;
         }
     }
-    let flag = |name: &str| -> Option<&String> {
-        flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_ref())
+    let find = |name: &str| {
+        debug_assert!(
+            KNOWN_FLAGS.contains(&name),
+            "--{name} missing from KNOWN_FLAGS"
+        );
+        flags.iter().find(|(n, _)| n == name)
     };
-    let has = |name: &str| flags.iter().any(|(n, _)| n == name);
+    let flag = |name: &str| -> Option<&String> { find(name).and_then(|(_, v)| v.as_ref()) };
+    let has = |name: &str| find(name).is_some();
     let need_path = || -> Result<String, String> {
         positional
             .first()
@@ -434,22 +474,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(v as u32)
         } else {
             Err(format!("--threads must be between 0 and 4096, got {v}"))
-        }
-    };
-    // Speculative window: 0 (default) and 1 both run the sequential
-    // stateful kernels; >= 2 enables windowed speculative ingress; "auto"
-    // selects the adaptive window controller.
-    let parse_window = || -> Result<u32, String> {
-        if flag("window").map(String::as_str) == Some("auto") {
-            return Ok(gp_partition::WINDOW_AUTO);
-        }
-        let v = parse_u("window", 0)?;
-        if v <= 1 << 24 {
-            Ok(v as u32)
-        } else {
-            Err(format!(
-                "--window must be \"auto\" or between 0 and 16777216, got {v}"
-            ))
         }
     };
     let parse_scale = || -> Result<f64, String> {
@@ -548,7 +572,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             parts: parse_count("parts", 9)?,
             seed: parse_u("seed", 42)?,
             threads: parse_threads()?,
-            window: parse_window()?,
             out: flag("out").cloned(),
         }),
         "recommend" => Ok(Command::Recommend {
@@ -738,7 +761,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 .unwrap_or(Ok(SystemChoice::PowerGraph))?,
             partition_file: flag("partition-file").cloned(),
             threads: parse_threads()?,
-            window: parse_window()?,
         }),
         other => Err(format!("unknown command {other:?} (try `distgraph help`)")),
     }
@@ -753,7 +775,7 @@ USAGE:
   distgraph classify <graph.txt>
   distgraph generate <dataset> [--scale S | --edges E] [--seed N] [-o out.txt]
   distgraph partition <graph.txt|store.gps> --strategy <name> [--parts N]
-                      [--seed N] [--threads N] [--window W|auto] [-o parts.txt]
+                      [--seed N] [--threads N] [-o parts.txt]
   distgraph store build powerlaw|<dataset> -o store.gps [--edges E]
                   [--vertices V] [--scale S] [--seed N]
   distgraph store info <store.gps>
@@ -762,7 +784,7 @@ USAGE:
                       [--machines N] [--compute-ingress R] [--natural]
   distgraph run <graph.txt> --app pagerank|wcc|sssp --strategy <name>
                 [--parts N] [--system ...] [--partition-file parts.txt]
-                [--threads N] [--window W|auto]
+                [--threads N]
   distgraph serve <graph.txt|store.gps> [--strategy hdrf] [--cluster local-9]
                   [--parts N] [--horizon S] [--sessions N] [--churn-scale F]
                   [--rebalance-threshold F] [--rf-threshold F] [--seed N]
@@ -827,19 +849,21 @@ least-loaded peer and takes the first finisher.
 `--threads N` runs ingress and superstep accounting on N worker threads
 (0 = all cores). Every report, assignment, and trace artifact is
 byte-identical at any thread count — parallelism only changes speed.
-
-`--window W` (partition/run) turns on windowed speculative ingress for the
-stateful strategies (hdrf, oblivious, hybrid, hybrid-ginger): edges are cut
-into W-edge windows, workers score each window in parallel against a
-read-only snapshot, and a sequential repair pass re-scores only the edges
-whose inputs changed. W of 0 (default) or 1 runs the exact sequential
-kernels; W >= 2 trades byte-identity with the sequential kernel for speed
-while staying within 5% on replication factor and balance — and remains
-byte-identical across thread counts at a fixed W. `--window auto` sizes
-windows adaptively: they grow geometrically while the repair rate stays
-low and halve on conflict storms, with the schedule derived purely from
-committed-edge counts — still byte-identical at every thread count.
 "
+}
+
+/// The whole `distgraph` process: parse `args` (without the program name),
+/// execute on stdout, and return the exit code. Parse errors print the
+/// usage to stderr and exit 2.
+pub fn run(args: &[String]) -> i32 {
+    match parse(args) {
+        Ok(cmd) => execute(&cmd, &mut std::io::stdout().lock()).unwrap_or(1),
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("{}", usage());
+            2
+        }
+    }
 }
 
 /// Execute a command, writing human-readable output to `out`. Returns the
@@ -1013,7 +1037,6 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
             parts,
             seed,
             threads,
-            window,
             out: dest,
         } => {
             // `.gps` stores stream straight off the mapping; text edge
@@ -1043,8 +1066,7 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
             }
             let ctx = PartitionContext::new(*parts)
                 .with_seed(*seed)
-                .with_threads(*threads)
-                .with_window(*window);
+                .with_threads(*threads);
             let outcome = strategy.build().partition(graph, &ctx);
             let report = IngressReport::from_outcome(strategy.label(), &outcome, *parts);
             let mut t = Table::new(
@@ -1190,7 +1212,6 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
             system,
             partition_file,
             threads,
-            window,
         } => {
             let loaded = match read_edge_list(path) {
                 Ok(l) => l,
@@ -1205,8 +1226,7 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
             } else {
                 let ctx = PartitionContext::new(*parts)
                     .with_seed(*seed)
-                    .with_threads(*threads)
-                    .with_window(*window);
+                    .with_threads(*threads);
                 strategy.build().partition(graph, &ctx).assignment
             };
             let spec = match system {
@@ -1770,92 +1790,21 @@ mod tests {
                 parts: 16,
                 seed: 7,
                 threads: 3,
-                window: 0,
                 out: Some("p.txt".into()),
             }
         );
     }
 
     #[test]
-    fn parse_and_run_windowed_partition() {
-        let cmd = parse_ok(&[
-            "partition",
-            "g.txt",
-            "--strategy",
-            "hdrf",
-            "--window",
-            "4096",
-        ]);
-        match &cmd {
-            Command::Partition { window, .. } => assert_eq!(*window, 4096),
-            other => panic!("parsed {other:?}"),
+    fn unknown_flags_exit_with_code_two() {
+        for (flag, value) in [("--window", "4096"), ("--bogus", "1"), ("-x", "1")] {
+            let args: Vec<String> = ["partition", "g.txt", "--strategy", "hdrf", flag, value]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!(parse(&args).unwrap_err(), format!("unknown flag {flag}"));
+            assert_eq!(run(&args), 2, "{flag}");
         }
-        let path = temp_graph_named("windowed");
-        let (code, text) = run_to_string(&Command::Partition {
-            path,
-            strategy: Strategy::Hdrf,
-            parts: 4,
-            seed: 1,
-            threads: 2,
-            window: 8,
-            out: None,
-        });
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("replication factor"), "{text}");
-    }
-
-    #[test]
-    fn parse_and_run_auto_window_partition() {
-        let cmd = parse_ok(&[
-            "partition",
-            "g.txt",
-            "--strategy",
-            "hdrf",
-            "--window",
-            "auto",
-        ]);
-        match &cmd {
-            Command::Partition { window, .. } => {
-                assert_eq!(*window, gp_partition::WINDOW_AUTO)
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        let path = temp_graph_named("autowindow");
-        let (code, text) = run_to_string(&Command::Partition {
-            path,
-            strategy: Strategy::Hdrf,
-            parts: 4,
-            seed: 1,
-            threads: 2,
-            window: gp_partition::WINDOW_AUTO,
-            out: None,
-        });
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("replication factor"), "{text}");
-    }
-
-    #[test]
-    fn window_rejects_garbage_but_takes_auto() {
-        let err = super::parse(&[
-            "partition".into(),
-            "g.txt".into(),
-            "--strategy".into(),
-            "hdrf".into(),
-            "--window".into(),
-            "soon".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("bad --window"), "{err}");
-        let err = super::parse(&[
-            "partition".into(),
-            "g.txt".into(),
-            "--strategy".into(),
-            "hdrf".into(),
-            "--window".into(),
-            "999999999".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("auto"), "{err}");
     }
 
     #[test]
@@ -2057,7 +2006,6 @@ mod tests {
             parts: 9,
             seed: 1,
             threads: 2,
-            window: 0,
             out: Some(pfile.clone()),
         });
         assert_eq!(code, 0, "{text}");
@@ -2071,7 +2019,6 @@ mod tests {
             system: SystemChoice::PowerGraph,
             partition_file: Some(pfile),
             threads: 1,
-            window: 0,
         });
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("WCC"), "{text}");
@@ -2095,7 +2042,6 @@ mod tests {
                 system,
                 partition_file: None,
                 threads: 2, // exercise the parallel engine path
-                window: 0,
             });
             assert_eq!(code, 0, "{system:?}: {text}");
             assert!(text.contains("PageRank"), "{system:?}: {text}");
@@ -2594,7 +2540,6 @@ mod tests {
             parts: 9,
             seed: 1,
             threads: 1,
-            window: 0,
             out: None,
         });
         assert_eq!(code, 2);
@@ -2774,7 +2719,6 @@ mod tests {
             parts: 8,
             seed: 3,
             threads: 2,
-            window: 0,
             out: Some(streamed_out.clone()),
         });
         assert_eq!(code, 0, "{text}");

@@ -2,17 +2,5 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match gp_cli::parse(&args) {
-        Ok(cmd) => {
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            gp_cli::execute(&cmd, &mut out).unwrap_or(1)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", gp_cli::usage());
-            2
-        }
-    };
-    std::process::exit(code);
+    std::process::exit(gp_cli::run(&args));
 }

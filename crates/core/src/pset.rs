@@ -65,11 +65,9 @@ impl PartitionSet {
     }
 
     /// The underlying words, low bits first: bit `p % 64` of word `p / 64`
-    /// is partition `p`'s membership. Public so scoring kernels (speculative
-    /// HDRF ingress) can classify 64 partitions per AND/OR instead of
-    /// probing [`PartitionSet::contains`] one partition at a time.
+    /// is partition `p`'s membership.
     #[inline]
-    pub fn words(&self) -> &[u64] {
+    fn words(&self) -> &[u64] {
         match &self.repr {
             Repr::Inline(w) => w,
             Repr::Spill(v) => v,

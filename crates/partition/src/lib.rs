@@ -41,7 +41,6 @@ pub mod incremental;
 pub mod ingress;
 pub mod partitioner;
 pub mod persist;
-pub mod speculative;
 pub mod strategies;
 pub mod strategy;
 
@@ -51,5 +50,5 @@ pub use incremental::{bicut_incremental, chunking_incremental, IncrementalPartit
 pub use ingress::{ingress_chunks, IngressReport, IngressVolumes};
 pub use partitioner::{CostModel, PartitionContext, PartitionOutcome, Partitioner};
 pub use persist::{load_assignment, read_assignment, save_assignment, write_assignment};
-pub use speculative::{sharded_degree_table, SpecStats, WINDOW_AUTO};
+pub use strategies::sharded_degree_table;
 pub use strategy::{Strategy, System};

@@ -73,28 +73,6 @@ pub struct PartitionContext {
     /// Results are byte-identical at any value — see the `gp-par`
     /// ordered-reduction rule.
     pub par: ParConfig,
-    /// Speculative-ingress window, in edges, for the stateful strategies.
-    /// `0` (the default) and `1` keep the exact sequential greedy kernels.
-    /// `window >= 2` switches HDRF, Oblivious and H-Ginger's refinement
-    /// phase to the windowed speculative kernel (`crate::speculative`):
-    /// the output is a pure function of `(graph, seed, partitions,
-    /// loaders, window)` — still independent of `par.threads` — but sits
-    /// within a *quality-parity* envelope of the sequential kernel (RF and
-    /// balance within 5%) rather than being byte-identical to it, because
-    /// conflict repair legitimately changes tie-break draw order.
-    /// [`gp_partition::WINDOW_AUTO`](crate::WINDOW_AUTO) (CLI: `--window
-    /// auto`) selects adaptive sizing: the window grows while the repair
-    /// rate stays low and shrinks on conflict storms, with the schedule
-    /// derived purely from committed-edge counts — so it too is
-    /// bit-identical at every thread count.
-    pub window: u32,
-    /// Whether windowed loader blocks may overlap on the bounded two-stage
-    /// block pipeline (block `N+1` speculates while block `N`'s repair
-    /// walk commits). On by default; results are byte-identical either way
-    /// — each block is a pure function of its own edge range and outputs
-    /// fold in block order — so the knob exists only for the overlap
-    /// on/off identity gate and for single-threaded debugging.
-    pub overlap: bool,
 }
 
 impl PartitionContext {
@@ -109,8 +87,6 @@ impl PartitionContext {
             cost: CostModel::default(),
             telemetry: TelemetrySink::Disabled,
             par: ParConfig::default(),
-            window: 0,
-            overlap: true,
         }
     }
 
@@ -139,21 +115,6 @@ impl PartitionContext {
     /// `1` = sequential). Never changes a single output byte.
     pub fn with_threads(mut self, threads: u32) -> Self {
         self.par = ParConfig::new(threads);
-        self
-    }
-
-    /// Set the speculative-ingress window (edges per window; `0` = off,
-    /// i.e. the exact sequential greedy kernels;
-    /// [`crate::WINDOW_AUTO`] = adaptive). See [`Self::window`].
-    pub fn with_window(mut self, window: u32) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Enable or disable overlapped loader blocks on the windowed path.
-    /// Output is byte-identical either way; see [`Self::overlap`].
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
         self
     }
 }

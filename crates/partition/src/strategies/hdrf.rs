@@ -20,7 +20,6 @@
 
 use crate::assignment::Assignment;
 use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome, Partitioner};
-use crate::speculative::{self, edge_rng, ScoreScratch, SpecStats, WindowKernel};
 use crate::strategies::oblivious::GreedyState;
 use gp_core::{for_each_edge, Edge, PartitionId, StreamingEdges};
 
@@ -155,196 +154,6 @@ impl HdrfLoader {
     }
 }
 
-/// HDRF's [`WindowKernel`]: the same per-loader state as [`HdrfLoader`],
-/// scored through the pure [`speculative::hdrf_score`] function with
-/// per-edge RNGs. Degree counters are frozen for the duration of a window
-/// (each edge sees previous windows plus its own endpoint bump) and advance
-/// via the end-of-window merge — the documented quality-parity deviation
-/// from the sequential kernel. Load aggregates (max/min/capacity) are
-/// cached once per window: committed state is frozen during speculation,
-/// so the cache equals a per-edge recomputation.
-struct HdrfWindowKernel {
-    greedy: GreedyState,
-    partial_degree: Vec<u64>,
-    touched: u64,
-    lambda: f64,
-    seed: u64,
-    frozen_max: f64,
-    frozen_min: f64,
-    frozen_capacity: u64,
-    parse_edge: f64,
-    heuristic_base: f64,
-    heuristic_per_candidate: f64,
-}
-
-impl HdrfWindowKernel {
-    fn new(ctx: &PartitionContext, num_vertices: u64, seed: u64, lambda: f64) -> Self {
-        HdrfWindowKernel {
-            greedy: GreedyState::new(ctx.num_partitions, num_vertices, seed),
-            partial_degree: vec![0; num_vertices as usize],
-            touched: 0,
-            lambda,
-            seed,
-            frozen_max: 0.0,
-            frozen_min: 0.0,
-            frozen_capacity: 0,
-            parse_edge: ctx.cost.parse_edge,
-            heuristic_base: ctx.cost.heuristic_base,
-            heuristic_per_candidate: ctx.cost.heuristic_per_candidate,
-        }
-    }
-
-    /// θ uses the frozen counters plus this edge's own contribution,
-    /// mirroring the sequential kernel's increment-then-score order. A
-    /// self-loop bumps its single endpoint twice there, so it does here.
-    #[inline]
-    fn thetas(&self, e: Edge) -> (f64, f64) {
-        let bump = if e.src == e.dst { 2 } else { 1 };
-        let du = (self.partial_degree[e.src.index()] + bump) as f64;
-        let dv = (self.partial_degree[e.dst.index()] + bump) as f64;
-        (du / (du + dv), dv / (du + dv))
-    }
-
-    #[inline]
-    fn score_with(
-        &self,
-        e: Edge,
-        idx: usize,
-        max_load: f64,
-        min_load: f64,
-        capacity: u64,
-        scratch: &mut ScoreScratch,
-    ) -> PartitionId {
-        let mut rng = edge_rng(self.seed, idx);
-        let (theta_u, theta_v) = self.thetas(e);
-        match speculative::hdrf_score(
-            &self.greedy.load,
-            capacity,
-            self.greedy.replicas(e.src),
-            self.greedy.replicas(e.dst),
-            theta_u,
-            theta_v,
-            self.lambda,
-            max_load,
-            min_load,
-            &mut rng,
-            scratch.scores(),
-        ) {
-            Some(p) => p,
-            // Everything at capacity (transient at tiny loads).
-            None => speculative::least_loaded_all(&self.greedy.load, &mut rng),
-        }
-    }
-}
-
-impl WindowKernel for HdrfWindowKernel {
-    fn partitions(&self) -> usize {
-        self.greedy.load.len()
-    }
-
-    fn begin_window(&mut self) {
-        let loads = &self.greedy.load;
-        self.frozen_max = *loads.iter().max().expect("partitions > 0") as f64;
-        self.frozen_min = *loads.iter().min().expect("partitions > 0") as f64;
-        self.frozen_capacity = self.greedy.capacity();
-    }
-
-    fn score_frozen(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_with(
-            e,
-            idx,
-            self.frozen_max,
-            self.frozen_min,
-            self.frozen_capacity,
-            scratch,
-        )
-    }
-
-    fn score_live(&self, e: Edge, idx: usize, scratch: &mut ScoreScratch) -> PartitionId {
-        let loads = &self.greedy.load;
-        let max_load = *loads.iter().max().expect("partitions > 0") as f64;
-        let min_load = *loads.iter().min().expect("partitions > 0") as f64;
-        self.score_with(e, idx, max_load, min_load, self.greedy.capacity(), scratch)
-    }
-
-    fn over_capacity(&self, p: PartitionId) -> bool {
-        self.greedy.load[p.index()] >= self.greedy.capacity()
-    }
-
-    fn apply(&mut self, e: Edge, p: PartitionId) {
-        let candidates = self.greedy.replicas(e.src).len() + self.greedy.replicas(e.dst).len();
-        self.greedy.work += self.parse_edge
-            + self.heuristic_base
-            + self.heuristic_per_candidate * candidates as f64;
-        self.greedy.commit(e, p);
-    }
-
-    fn end_window(&mut self, edges: &[Edge]) {
-        // Fold the committed window's endpoint touches into the degree
-        // counters. Elementwise integer addition over the same endpoint
-        // multiset the old per-chunk shards carried — byte-identical to the
-        // ordered shard merge, without materializing any shard vectors.
-        for e in edges {
-            for v in [e.src, e.dst] {
-                let d = &mut self.partial_degree[v.index()];
-                if *d == 0 {
-                    self.touched += 1;
-                }
-                *d += 1;
-            }
-        }
-    }
-
-    fn work(&self) -> f64 {
-        self.greedy.work
-    }
-
-    fn state_bytes(&self, num_vertices: u64, stats: &SpecStats) -> u64 {
-        // Loader state plus the windowing machinery: the edge/choice buffer
-        // (16 + 4 bytes per buffered edge, sized by the largest window
-        // actually cut) and the per-vertex stamp table.
-        self.greedy.state_bytes() + 40 * self.touched + stats.max_window * 20 + num_vertices * 4
-    }
-}
-
-impl Hdrf {
-    /// The `window >= 2` ingress path: per-loader windowed speculation on
-    /// the shared block driver — loader blocks overlap on the bounded
-    /// two-stage pipeline when the context allows, and parallelism also
-    /// lives inside each window's speculation pass.
-    fn partition_windowed(
-        &self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> PartitionOutcome {
-        let lambda = self.lambda;
-        let (parts, loader_work, state_bytes, stats) =
-            speculative::partition_windowed_blocks(graph, ctx, |i| {
-                HdrfWindowKernel::new(
-                    ctx,
-                    graph.num_vertices(),
-                    ctx.seed ^ (0x4d5f + i as u64),
-                    lambda,
-                )
-            });
-        let outcome = PartitionOutcome {
-            assignment: Assignment::from_edge_partitions_par(
-                graph,
-                parts,
-                ctx.num_partitions,
-                ctx.seed,
-                &ctx.par,
-            ),
-            loader_work,
-            passes: 1,
-            state_bytes,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        super::record_speculation_telemetry(ctx, &stats);
-        outcome
-    }
-}
-
 impl Partitioner for Hdrf {
     fn name(&self) -> &'static str {
         "HDRF"
@@ -355,9 +164,6 @@ impl Partitioner for Hdrf {
         graph: &dyn StreamingEdges,
         ctx: &PartitionContext,
     ) -> PartitionOutcome {
-        if ctx.window >= 2 {
-            return self.partition_windowed(graph, ctx);
-        }
         let blocks = loader_ranges(graph.num_edges(), ctx.num_loaders);
         let lambda = self.lambda;
         // Per-loader state is independent; run the loaders on the bounded

@@ -20,9 +20,9 @@
 //! The extra phases cost ingress time and memory — the overheads behind
 //! Figs 6.3/6.4 — in exchange for a slightly better replication factor.
 
+use super::sharded_degree_table;
 use crate::assignment::Assignment;
 use crate::partitioner::{loader_chunks, PartitionContext, PartitionOutcome, Partitioner};
-use crate::speculative::{sharded_degree_table, SpecStats, StampSet, WindowController};
 use gp_core::{for_each_edge, hash_vertex, CsrGraph, Edge, PartitionId, StreamingEdges, VertexId};
 
 /// The default high-degree threshold (θ) used by the paper (§6.2.1).
@@ -201,181 +201,6 @@ impl HybridGinger {
     pub fn with_threshold(threshold: u32) -> Self {
         HybridGinger { threshold }
     }
-
-    /// The Fennel-style score argmax for vertex `v`: the partition holding
-    /// most of `v`'s in-neighbors, tempered by the balance term, with `v`
-    /// discounted from its current partition. A pure function of the state
-    /// it is handed — the sequential scan feeds it live state, the windowed
-    /// path feeds it the window-start snapshot (and live state again on
-    /// repair). Ginger draws no RNG, so identical inputs give identical
-    /// choices.
-    #[allow(clippy::too_many_arguments)]
-    fn best_home(
-        csr: &CsrGraph,
-        homes: &[PartitionId],
-        in_deg: &[u32],
-        vcount: &[u64],
-        ecount: &[u64],
-        nv_over_ne: f64,
-        p: usize,
-        v: usize,
-        affinity: &mut [u64],
-    ) -> usize {
-        affinity.iter_mut().for_each(|a| *a = 0);
-        for u in csr.in_neighbors(VertexId(v as u64)) {
-            affinity[homes[u.index()].index()] += 1;
-        }
-        let current = homes[v].index();
-        let mut best = current;
-        let mut best_score = f64::NEG_INFINITY;
-        for cand in 0..p {
-            // Score the partition as if v were not already counted there.
-            let vc = vcount[cand] - u64::from(cand == current);
-            let ec = ecount[cand] - if cand == current { in_deg[v] as u64 } else { 0 };
-            let balance = 0.5 * (vc as f64 + nv_over_ne * ec as f64);
-            let score = affinity[cand] as f64 - balance;
-            if score > best_score {
-                best_score = score;
-                best = cand;
-            }
-        }
-        best
-    }
-
-    /// Windowed speculative Ginger refinement: candidate vertices (low
-    /// in-degree, in scan order) are cut into windows; workers propose
-    /// moves against the window-start snapshot of homes and counts; a
-    /// sequential walk commits them. A vertex is fully re-scored only when
-    /// an in-neighbor's home moved earlier in the same window (its affinity
-    /// inputs changed); otherwise the move gets an O(1) *live balance
-    /// re-check* — the proposal carries its two relevant affinity values,
-    /// so the walk can re-compare proposed-vs-current against the live
-    /// counts without rescanning neighbors. That re-check is what stops a
-    /// window's proposals from herding onto the partition that was lightest
-    /// at the snapshot: each committed move raises the target's live
-    /// balance term until later movers stay put. Moves, not visits, mark
-    /// the stamp — an unmoved neighbor invalidates nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_windowed(
-        &self,
-        csr: &CsrGraph,
-        homes: &mut [PartitionId],
-        in_deg: &[u32],
-        vcount: &mut [u64],
-        ecount: &mut [u64],
-        nv_over_ne: f64,
-        p: usize,
-        ctx: &PartitionContext,
-        ginger_work: &mut f64,
-        stats: &mut SpecStats,
-    ) {
-        let n = homes.len();
-        let cands: Vec<u32> = (0..n as u32)
-            .filter(|&v| {
-                let d = in_deg[v as usize];
-                d > 0 && d <= self.threshold
-            })
-            .collect();
-        let mut stamp = StampSet::new(n);
-        let mut affinity = vec![0u64; p];
-        // Windows are cut by the same controller as the edge-stream path:
-        // fixed for `--window W`, adaptive for `--window auto` — either way
-        // a pure function of the candidate stream, never the thread count.
-        let mut ctl = WindowController::new(ctx.window);
-        let mut start = 0usize;
-        while start < cands.len() {
-            let end = (start + ctl.current()).min(cands.len());
-            let wrange = start..end;
-            let homes_snap: &[PartitionId] = homes;
-            let vcount_snap: &[u64] = vcount;
-            let ecount_snap: &[u64] = ecount;
-            // (proposed, affinity[proposed], affinity[current]) per vertex.
-            let proposals: Vec<(usize, u64, u64)> =
-                gp_par::map_chunks(&ctx.par, wrange.len(), |_, r| {
-                    let mut aff = vec![0u64; p];
-                    let mut out = Vec::with_capacity(r.len());
-                    for k in r {
-                        let v = cands[wrange.start + k] as usize;
-                        let best = Self::best_home(
-                            csr,
-                            homes_snap,
-                            in_deg,
-                            vcount_snap,
-                            ecount_snap,
-                            nv_over_ne,
-                            p,
-                            v,
-                            &mut aff,
-                        );
-                        out.push((best, aff[best], aff[homes_snap[v].index()]));
-                    }
-                    out
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            stamp.advance();
-            let mut repaired_here = 0u64;
-            for (k, &(proposed, aff_prop, aff_cur)) in proposals.iter().enumerate() {
-                let v = cands[wrange.start + k] as usize;
-                *ginger_work +=
-                    ctx.cost.ginger_base + ctx.cost.ginger_per_neighbor * in_deg[v] as f64;
-                let conflict = csr
-                    .in_neighbors(VertexId(v as u64))
-                    .any(|u| stamp.contains(u));
-                let best = if conflict {
-                    repaired_here += 1;
-                    Self::best_home(
-                        csr,
-                        homes,
-                        in_deg,
-                        vcount,
-                        ecount,
-                        nv_over_ne,
-                        p,
-                        v,
-                        &mut affinity,
-                    )
-                } else {
-                    stats.speculated += 1;
-                    let current = homes[v].index();
-                    if proposed == current {
-                        current
-                    } else {
-                        // Live balance re-check, same discounting as
-                        // `best_home` (v removed from its current home,
-                        // strict improvement required to move).
-                        let score_prop = aff_prop as f64
-                            - 0.5
-                                * (vcount[proposed] as f64 + nv_over_ne * ecount[proposed] as f64);
-                        let score_cur = aff_cur as f64
-                            - 0.5
-                                * ((vcount[current] - 1) as f64
-                                    + nv_over_ne * (ecount[current] - in_deg[v] as u64) as f64);
-                        if score_prop > score_cur {
-                            proposed
-                        } else {
-                            current
-                        }
-                    }
-                };
-                let current = homes[v].index();
-                if best != current {
-                    vcount[current] -= 1;
-                    vcount[best] += 1;
-                    ecount[current] -= in_deg[v] as u64;
-                    ecount[best] += in_deg[v] as u64;
-                    homes[v] = PartitionId(best as u32);
-                    stamp.mark(VertexId(v as u64));
-                }
-            }
-            stats.windows += 1;
-            stats.repaired += repaired_here;
-            stats.max_window = stats.max_window.max(wrange.len() as u64);
-            ctl.observe(wrange.len(), repaired_here, stats);
-            start = end;
-        }
-    }
 }
 
 impl Partitioner for HybridGinger {
@@ -406,50 +231,38 @@ impl Partitioner for HybridGinger {
         }
         let nv_over_ne = if m > 0.0 { n as f64 / m } else { 0.0 };
         let mut ginger_work = 0.0f64;
-        let mut stats = SpecStats::default();
-        if ctx.window >= 2 {
-            // Windowed speculative refinement — see `crate::speculative`.
-            self.refine_windowed(
-                &csr,
-                &mut homes,
-                &in_deg,
-                &mut vcount,
-                &mut ecount,
-                nv_over_ne,
-                p,
-                ctx,
-                &mut ginger_work,
-                &mut stats,
-            );
-        } else {
-            // Sequential scan: mutates shared vcount/ecount/homes state as
-            // it goes, so its result depends on scan order by design.
-            let mut affinity = vec![0u64; p];
-            for v in 0..n {
-                if in_deg[v] > self.threshold || in_deg[v] == 0 {
-                    continue;
+        // Sequential scan: mutates shared vcount/ecount/homes state as it
+        // goes, so its result depends on scan order by design.
+        let mut affinity = vec![0u64; p];
+        for v in 0..n {
+            if in_deg[v] > self.threshold || in_deg[v] == 0 {
+                continue;
+            }
+            affinity.iter_mut().for_each(|a| *a = 0);
+            for u in csr.in_neighbors(VertexId(v as u64)) {
+                affinity[homes[u.index()].index()] += 1;
+            }
+            ginger_work += ctx.cost.ginger_base + ctx.cost.ginger_per_neighbor * in_deg[v] as f64;
+            let current = homes[v].index();
+            let mut best = current;
+            let mut best_score = f64::NEG_INFINITY;
+            for cand in 0..p {
+                // Score the partition as if v were not already counted there.
+                let vc = vcount[cand] - u64::from(cand == current);
+                let ec = ecount[cand] - if cand == current { in_deg[v] as u64 } else { 0 };
+                let balance = 0.5 * (vc as f64 + nv_over_ne * ec as f64);
+                let score = affinity[cand] as f64 - balance;
+                if score > best_score {
+                    best_score = score;
+                    best = cand;
                 }
-                ginger_work +=
-                    ctx.cost.ginger_base + ctx.cost.ginger_per_neighbor * in_deg[v] as f64;
-                let current = homes[v].index();
-                let best = Self::best_home(
-                    &csr,
-                    &homes,
-                    &in_deg,
-                    &vcount,
-                    &ecount,
-                    nv_over_ne,
-                    p,
-                    v,
-                    &mut affinity,
-                );
-                if best != current {
-                    vcount[current] -= 1;
-                    vcount[best] += 1;
-                    ecount[current] -= in_deg[v] as u64;
-                    ecount[best] += in_deg[v] as u64;
-                    homes[v] = PartitionId(best as u32);
-                }
+            }
+            if best != current {
+                vcount[current] -= 1;
+                vcount[best] += 1;
+                ecount[current] -= in_deg[v] as u64;
+                ecount[best] += in_deg[v] as u64;
+                homes[v] = PartitionId(best as u32);
             }
         }
 
@@ -508,7 +321,6 @@ impl Partitioner for HybridGinger {
             state_bytes,
         };
         super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        super::record_speculation_telemetry(ctx, &stats);
         outcome
     }
 }

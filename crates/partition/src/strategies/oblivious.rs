@@ -21,7 +21,6 @@
 
 use crate::assignment::Assignment;
 use crate::partitioner::{loader_ranges, PartitionContext, PartitionOutcome, Partitioner};
-use crate::speculative::{self, edge_rng, ScoreScratch, SpecStats, WindowKernel};
 use gp_core::{
     for_each_edge, Edge, PartitionId, PartitionSet, Splitmix64, StreamingEdges, VertexId,
 };
@@ -179,118 +178,6 @@ pub(crate) fn oblivious_choose(state: &mut GreedyState, e: Edge) -> PartitionId 
     }
 }
 
-/// Oblivious's [`WindowKernel`]: same per-loader [`GreedyState`], scored
-/// through the pure [`speculative::oblivious_score`] case analysis with
-/// per-edge RNGs. Oblivious has no degree state, so the kernel needs no
-/// shards — windows only freeze the replica sets and loads it scores
-/// against.
-struct ObliviousWindowKernel {
-    greedy: GreedyState,
-    seed: u64,
-    /// Capacity cap as of the window start. The committed state is frozen
-    /// during speculation, so the cache equals a per-edge recomputation.
-    frozen_capacity: u64,
-    parse_edge: f64,
-    heuristic_base: f64,
-    heuristic_per_candidate: f64,
-}
-
-impl ObliviousWindowKernel {
-    fn new(ctx: &PartitionContext, num_vertices: u64, seed: u64) -> Self {
-        ObliviousWindowKernel {
-            greedy: GreedyState::new(ctx.num_partitions, num_vertices, seed),
-            seed,
-            frozen_capacity: 0,
-            parse_edge: ctx.cost.parse_edge,
-            heuristic_base: ctx.cost.heuristic_base,
-            heuristic_per_candidate: ctx.cost.heuristic_per_candidate,
-        }
-    }
-
-    #[inline]
-    fn score_at(&self, e: Edge, idx: usize, capacity: u64) -> PartitionId {
-        let mut rng = edge_rng(self.seed, idx);
-        speculative::oblivious_score(
-            &self.greedy.load,
-            capacity,
-            self.greedy.replicas(e.src),
-            self.greedy.replicas(e.dst),
-            &mut rng,
-        )
-    }
-}
-
-impl WindowKernel for ObliviousWindowKernel {
-    fn partitions(&self) -> usize {
-        self.greedy.load.len()
-    }
-
-    fn begin_window(&mut self) {
-        self.frozen_capacity = self.greedy.capacity();
-    }
-
-    fn score_frozen(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_at(e, idx, self.frozen_capacity)
-    }
-
-    fn score_live(&self, e: Edge, idx: usize, _scratch: &mut ScoreScratch) -> PartitionId {
-        self.score_at(e, idx, self.greedy.capacity())
-    }
-
-    fn over_capacity(&self, p: PartitionId) -> bool {
-        self.greedy.load[p.index()] >= self.greedy.capacity()
-    }
-
-    fn apply(&mut self, e: Edge, p: PartitionId) {
-        let candidates = self.greedy.replicas(e.src).len() + self.greedy.replicas(e.dst).len();
-        self.greedy.work += self.parse_edge
-            + self.heuristic_base
-            + self.heuristic_per_candidate * candidates as f64;
-        self.greedy.commit(e, p);
-    }
-
-    fn work(&self) -> f64 {
-        self.greedy.work
-    }
-
-    fn state_bytes(&self, num_vertices: u64, stats: &SpecStats) -> u64 {
-        self.greedy.state_bytes() + stats.max_window * 20 + num_vertices * 4
-    }
-}
-
-impl Oblivious {
-    /// The `window >= 2` ingress path; see [`crate::speculative`].
-    fn partition_windowed(
-        &self,
-        graph: &dyn StreamingEdges,
-        ctx: &PartitionContext,
-    ) -> PartitionOutcome {
-        let (parts, loader_work, state_bytes, stats) =
-            speculative::partition_windowed_blocks(graph, ctx, |i| {
-                ObliviousWindowKernel::new(
-                    ctx,
-                    graph.num_vertices(),
-                    ctx.seed ^ (0x0b11 + i as u64),
-                )
-            });
-        let outcome = PartitionOutcome {
-            assignment: Assignment::from_edge_partitions_par(
-                graph,
-                parts,
-                ctx.num_partitions,
-                ctx.seed,
-                &ctx.par,
-            ),
-            loader_work,
-            passes: 1,
-            state_bytes,
-        };
-        super::record_ingress_telemetry(self.name(), graph, &outcome, ctx);
-        super::record_speculation_telemetry(ctx, &stats);
-        outcome
-    }
-}
-
 impl Partitioner for Oblivious {
     fn name(&self) -> &'static str {
         "Oblivious"
@@ -301,9 +188,6 @@ impl Partitioner for Oblivious {
         graph: &dyn StreamingEdges,
         ctx: &PartitionContext,
     ) -> PartitionOutcome {
-        if ctx.window >= 2 {
-            return self.partition_windowed(graph, ctx);
-        }
         let blocks = loader_ranges(graph.num_edges(), ctx.num_loaders);
         // Loaders are independent by design (each is "oblivious" to the
         // others), so they can run on real parallel threads. The determinism

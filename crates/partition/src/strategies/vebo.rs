@@ -8,7 +8,7 @@
 //! owner partitioner with a degree-driven placement pass instead of a hash:
 //!
 //! 1. **Degree pass** — the sharded parallel degree count
-//!    ([`crate::speculative::sharded_degree_table`], ordered shard merge).
+//!    ([`super::sharded_degree_table`], ordered shard merge).
 //! 2. **Ordering pass** — vertices sorted by (out-degree desc, in-degree
 //!    desc, id asc) and placed LPT-style (longest-processing-time first)
 //!    onto the partition with the lightest owned-edge load, ties by vertex
@@ -24,9 +24,9 @@
 //! — and with it the per-partition vertex/edge-count vectors — is exactly
 //! preserved (property-tested in `tests/par_equivalence.rs`).
 
+use super::sharded_degree_table;
 use crate::assignment::Assignment;
 use crate::partitioner::{loader_chunks, PartitionContext, PartitionOutcome, Partitioner};
-use crate::speculative::sharded_degree_table;
 use gp_core::{for_each_edge, PartitionId, StreamingEdges, VertexId};
 
 /// The VEBO-style vertex/edge-balanced ordering partitioner.

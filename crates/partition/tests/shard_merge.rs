@@ -1,7 +1,7 @@
 //! Sharded degree-state merge equivalence.
 //!
-//! The windowed speculative ingress path replaces every sequential degree
-//! scan with [`gp_partition::sharded_degree_table`]: each `gp-par` worker
+//! Hybrid, H-Ginger and VEBO count degrees with
+//! [`gp_partition::sharded_degree_table`]: each `gp-par` worker
 //! counts its chunk into a private [`gp_core::DegreeTable`] shard, and the
 //! shards are merged in chunk order. This suite pins the contract that the
 //! merged state is *exactly* the sequential [`EdgeList::degrees`] table —

@@ -9,23 +9,13 @@
 //! state — per-edge partitions, masters, replica lists in sorted order, and
 //! all derived counts — so a divergence anywhere in the bitset/CSR replica
 //! kernels (not just in edge placement) fails the suite.
-//!
-//! The windowed speculative ingress path (`--window >= 2`) deliberately
-//! relaxes byte-identity *versus the sequential kernel* — conflict repair
-//! re-draws tie-breaks — so its contract is gated separately by the
-//! `stateful_parity` block below: bit-identical output across thread counts
-//! at a fixed window, byte-identity to the sequential kernel at `window <=
-//! 1`, and RF/balance within 5% (plus a discreteness allowance on the tiny
-//! proptest graphs) of the sequential kernel otherwise.
 
 use distgraph::apps::{PageRank, Wcc};
 use distgraph::cluster::ClusterSpec;
 use distgraph::core::{Edge, EdgeList, StreamingEdges, VertexId};
 use distgraph::engine::{AsyncGas, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
 use distgraph::partition::strategies::{BiCut, Chunking, Vebo};
-use distgraph::partition::{
-    write_assignment, PartitionContext, Partitioner, Strategy, WINDOW_AUTO,
-};
+use distgraph::partition::{write_assignment, PartitionContext, Partitioner, Strategy};
 use proptest::prelude::*;
 // The partition::Strategy enum shadows proptest's Strategy trait; re-import
 // the trait anonymously for method syntax.
@@ -62,16 +52,6 @@ fn all_partitioners() -> Vec<(String, Box<dyn Partitioner>, u32)> {
     out
 }
 
-/// The strategies with a windowed speculative ingress path. Hybrid has no
-/// sequential state (its passes are already parallel maps), so the window
-/// is a no-op for it — it rides along to pin exactly that.
-const STATEFUL: [Strategy; 4] = [
-    Strategy::Hdrf,
-    Strategy::Oblivious,
-    Strategy::Hybrid,
-    Strategy::HybridGinger,
-];
-
 /// The serialized assignment a partitioner produces at a given thread
 /// count: the persisted form (edge partitions + masters) plus every other
 /// observable — sorted replica lists, bitset/CSR agreement, edge counts,
@@ -83,39 +63,9 @@ fn assignment_bytes(
     seed: u64,
     threads: u32,
 ) -> Vec<u8> {
-    windowed_bytes(graph, partitioner, parts, seed, threads, 0)
-}
-
-/// [`assignment_bytes`] with the speculative-ingress window set; `0` is the
-/// default sequential-kernel path.
-fn windowed_bytes(
-    graph: &dyn StreamingEdges,
-    partitioner: &mut dyn Partitioner,
-    parts: u32,
-    seed: u64,
-    threads: u32,
-    window: u32,
-) -> Vec<u8> {
-    windowed_bytes_with(graph, partitioner, parts, seed, threads, window, true)
-}
-
-/// [`windowed_bytes`] with the loader-block overlap pipeline toggled —
-/// output must be byte-identical either way.
-#[allow(clippy::too_many_arguments)]
-fn windowed_bytes_with(
-    graph: &dyn StreamingEdges,
-    partitioner: &mut dyn Partitioner,
-    parts: u32,
-    seed: u64,
-    threads: u32,
-    window: u32,
-    overlap: bool,
-) -> Vec<u8> {
     let ctx = PartitionContext::new(parts)
         .with_seed(seed)
-        .with_threads(threads)
-        .with_window(window)
-        .with_overlap(overlap);
+        .with_threads(threads);
     let outcome = partitioner.partition(graph, &ctx);
     let a = &outcome.assignment;
     let mut buf = Vec::new();
@@ -237,87 +187,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    // The quality-parity contract of windowed speculative ingress, on
-    // random graphs × {HDRF, Oblivious, Hybrid, H-Ginger} × threads
-    // {1, 2, 4, 7}:
-    //
-    // 1. at a fixed window the output is bit-identical across thread
-    //    counts (speculation is deterministic; threads only change who
-    //    scores a chunk);
-    // 2. `window <= 1` dispatches to the sequential kernel, byte-identical
-    //    to `window == 0` by construction;
-    // 3. at `window >= 2` replication factor and edge imbalance stay
-    //    within 5% of the sequential kernel — plus a discreteness
-    //    allowance, because on graphs this small (≤60 vertices, ≤240
-    //    edges, 9 partitions) a single legitimately re-drawn tie-break
-    //    moves RF by 2/|V| and imbalance by p/|E|, quanta far coarser
-    //    than 5%. The strict relative-5% gate runs on a realistic-size
-    //    graph in `windowed_hdrf_holds_strict_parity_at_scale` below.
-    #[test]
-    fn stateful_parity(
-        graph in arb_graph(),
-        seed in 0u64..1000,
-    ) {
-        let n = graph.num_vertices() as f64;
-        let m = graph.num_edges() as f64;
-        for strategy in STATEFUL {
-            let label = strategy.label();
-            for window in [4u32, 16, WINDOW_AUTO] {
-                let fixed = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, 1, window);
-                for threads in [2u32, 4, 7] {
-                    let par = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, threads, window);
-                    prop_assert_eq!(
-                        &fixed, &par,
-                        "{} window={} diverges at {} threads", label, window, threads
-                    );
-                }
-                // Overlapped loader blocks are a pure scheduling change:
-                // disabling the block pipeline must not move a byte.
-                let no_overlap =
-                    windowed_bytes_with(&graph, &mut *strategy.build(), 9, seed, 4, window, false);
-                let overlap =
-                    windowed_bytes_with(&graph, &mut *strategy.build(), 9, seed, 4, window, true);
-                prop_assert_eq!(
-                    &no_overlap, &overlap,
-                    "{} window={} diverges when block overlap is toggled", label, window
-                );
-            }
-            let seq = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, 1, 0);
-            let w1 = windowed_bytes(&graph, &mut *strategy.build(), 9, seed, 1, 1);
-            prop_assert_eq!(
-                &seq, &w1,
-                "{} window=1 must run the sequential kernel byte-for-byte", label
-            );
-            let ctx_seq = PartitionContext::new(9).with_seed(seed);
-            let ctx_win = PartitionContext::new(9).with_seed(seed).with_window(16);
-            let a = strategy.build().partition(&graph, &ctx_seq).assignment;
-            let b = strategy.build().partition(&graph, &ctx_win).assignment;
-            let (rf_s, rf_w) = (a.replication_factor(), b.replication_factor());
-            let (bal_s, bal_w) = (a.balance().imbalance, b.balance().imbalance);
-            // Additive discreteness terms: a re-drawn tie can move RF by
-            // 2/|V| per affected edge, and within one window up to
-            // `window` edges may commit against a stale balance signal,
-            // shifting the heaviest partition by `window` edges, i.e.
-            // imbalance by window*p/m. Both terms vanish at realistic
-            // scale (window << m/p) — the strict relative-5% bound is
-            // enforced in `windowed_hdrf_holds_strict_parity_at_scale`.
-            let rf_slack = 0.05 * rf_s + 2.0 * 9.0 / n;
-            let bal_slack = 0.05 * bal_s + 16.0 * 9.0 / m;
-            // One-sided: windowed must not be *worse* than sequential by
-            // more than the slack; strictly better is never a failure.
-            prop_assert!(
-                rf_w - rf_s <= rf_slack,
-                "{}: windowed RF {:.4} vs sequential {:.4} (slack {:.4})",
-                label, rf_w, rf_s, rf_slack
-            );
-            prop_assert!(
-                bal_w - bal_s <= bal_slack,
-                "{}: windowed imbalance {:.4} vs sequential {:.4} (slack {:.4})",
-                label, bal_w, bal_s, bal_slack
-            );
-        }
-    }
-
     // VEBO is an *ordering* strategy: its placement depends only on the
     // degree sequence, so permuting vertex ids (edge multiset preserved
     // under the relabeling) must permute the assignment with it — the
@@ -384,116 +253,6 @@ proptest! {
         // structurally interchangeable — so only the degree-derived load
         // vectors above are asserted exactly.
     }
-}
-
-/// The strict relative-5% half of the windowed parity contract, where the
-/// discreteness allowance of the proptest block vanishes: a realistic
-/// power-law graph at the bench's shape (degree ~10, 9 partitions) and the
-/// bench's production window (4096).
-#[test]
-fn windowed_hdrf_holds_strict_parity_at_scale() {
-    let graph = distgraph::gen::barabasi_albert(20_000, 8, 3);
-    for strategy in STATEFUL {
-        let label = strategy.label();
-        let seq = strategy
-            .build()
-            .partition(&graph, &PartitionContext::new(9).with_seed(3))
-            .assignment;
-        let win = strategy
-            .build()
-            .partition(
-                &graph,
-                &PartitionContext::new(9).with_seed(3).with_window(4096),
-            )
-            .assignment;
-        // One-sided gaps: the contract is "no more than 5% *worse* than
-        // the sequential kernel" — frozen in-window degrees sometimes make
-        // the windowed kernel strictly better, which must not fail the gate.
-        let rf_gap = win.replication_factor() / seq.replication_factor() - 1.0;
-        let bal_gap = win.balance().imbalance / seq.balance().imbalance - 1.0;
-        assert!(
-            rf_gap <= 0.05,
-            "{label}: windowed RF {:.4} vs sequential {:.4} ({:.2}% off)",
-            win.replication_factor(),
-            seq.replication_factor(),
-            rf_gap * 100.0
-        );
-        assert!(
-            bal_gap <= 0.05,
-            "{label}: windowed imbalance {:.4} vs sequential {:.4} ({:.2}% off)",
-            win.balance().imbalance,
-            seq.balance().imbalance,
-            bal_gap * 100.0
-        );
-    }
-}
-
-/// `--window auto` at realistic scale: the adaptive controller's window
-/// schedule is a pure function of the committed edge stream, so the output
-/// must stay bit-identical across thread counts {1, 2, 4, 7} — with block
-/// overlap on and off — even as windows grow and shrink. Multiple loader
-/// blocks (9) exercise the per-block controller reset and the block
-/// pipeline together.
-#[test]
-fn auto_window_is_thread_identical_at_scale() {
-    let graph = distgraph::gen::barabasi_albert(20_000, 8, 3);
-    for strategy in STATEFUL {
-        let label = strategy.label();
-        let base = windowed_bytes(&graph, &mut *strategy.build(), 9, 3, 1, WINDOW_AUTO);
-        for threads in [2u32, 4, 7] {
-            let par = windowed_bytes(&graph, &mut *strategy.build(), 9, 3, threads, WINDOW_AUTO);
-            assert_eq!(
-                base, par,
-                "{label} --window auto diverges at {threads} threads"
-            );
-        }
-        let no_overlap =
-            windowed_bytes_with(&graph, &mut *strategy.build(), 9, 3, 4, WINDOW_AUTO, false);
-        assert_eq!(
-            base, no_overlap,
-            "{label} --window auto diverges when block overlap is disabled"
-        );
-    }
-}
-
-/// A conflict storm must make the adaptive controller shrink its window: a
-/// pure star graph routes every edge through the hub, so each speculated
-/// edge after a window's first finds the hub stamped and repairs — repair
-/// rate ~1, far over the shrink threshold. The shrink count is observable
-/// through the `par.spec_shrinks` telemetry counter, the repair rate
-/// through its gauge, and the placements stay thread-identical throughout.
-#[test]
-fn conflict_storm_forces_window_shrink() {
-    use distgraph::telemetry::TelemetrySink;
-    let edges: Vec<Edge> = (1..=6_000u64).map(|i| Edge::new(0u64, i)).collect();
-    let graph = EdgeList::with_vertex_count(edges, 6_001).expect("ids in range");
-    let sink = TelemetrySink::recording();
-    let ctx = PartitionContext::new(9)
-        .with_seed(3)
-        .with_loaders(1)
-        .with_window(WINDOW_AUTO)
-        .with_telemetry(sink.clone());
-    let storm = Strategy::Hdrf.build().partition(&graph, &ctx).assignment;
-    assert!(
-        sink.counter("par.spec_shrinks") >= 1,
-        "a ~100% repair-rate stream must shrink the window at least once \
-         (shrinks = {})",
-        sink.counter("par.spec_shrinks")
-    );
-    let rate = sink
-        .metrics()
-        .gauge("par.spec_repair_rate")
-        .expect("repair-rate gauge");
-    assert!(
-        rate > 0.4,
-        "star-graph repair rate {rate} should be a storm"
-    );
-    // Determinism holds under the storm too.
-    let again = Strategy::Hdrf
-        .build()
-        .partition(&graph, &ctx.clone().with_telemetry(TelemetrySink::Disabled))
-        .assignment;
-    assert_eq!(storm.edge_partitions(), again.edge_partitions());
 }
 
 /// A realistic-size fixed case on top of the proptest sweep: a heavy-tailed
