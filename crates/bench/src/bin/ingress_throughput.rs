@@ -22,8 +22,8 @@
 //!   1 by more than 2x, which would indicate duplicated work rather than
 //!   contention.
 
+use gp_bench::{host_cores, median_seconds, rustc_version};
 use gp_partition::{PartitionContext, Strategy};
-use std::time::Instant;
 
 const VERTICES: u64 = 120_000;
 const EDGES_PER_VERTEX: u64 = 10;
@@ -37,18 +37,12 @@ fn measure(graph: &gp_core::EdgeList, strategy: Strategy, threads: u32) -> f64 {
     let ctx = PartitionContext::new(PARTITIONS)
         .with_seed(1)
         .with_threads(threads);
-    strategy.build().partition(graph, &ctx); // warm-up
-    let mut secs: Vec<f64> = (0..PASSES)
-        .map(|_| {
-            let t0 = Instant::now();
-            let out = strategy.build().partition(graph, &ctx);
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(out.assignment.num_edges(), graph.num_edges());
-            dt
-        })
-        .collect();
-    secs.sort_by(f64::total_cmp);
-    graph.num_edges() as f64 / secs[PASSES / 2]
+    let secs = median_seconds(PASSES, || {
+        let out = strategy.build().partition(graph, &ctx);
+        assert_eq!(out.assignment.num_edges(), graph.num_edges());
+        out
+    });
+    graph.num_edges() as f64 / secs
 }
 
 /// Strategy labels recorded in an existing `BENCH_ingress.json`, so the
@@ -66,24 +60,10 @@ fn committed_labels(path: &str) -> Vec<String> {
         .collect()
 }
 
-/// `rustc --version` of the toolchain on `PATH`, or `"unknown"`.
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|v| v.trim().replace('"', "'"))
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let prior = committed_labels("BENCH_ingress.json");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = host_cores();
     let graph = gp_gen::barabasi_albert(VERTICES, EDGES_PER_VERTEX as u32, 1);
     let plans: [(&str, Strategy); 3] = [
         ("Random", Strategy::Random),

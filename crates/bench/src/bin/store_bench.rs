@@ -8,7 +8,11 @@
 //!    the 16 bytes/edge of the in-memory edge list.
 //! 3. **Ingress throughput** — edges/second partitioning the *same sorted
 //!    edges* from memory vs. streamed off the store, for one stateless
-//!    (Random) and one stateful (HDRF) strategy.
+//!    (Random) and one stateful (HDRF) strategy. Each row is the median of
+//!    9 timed passes after one warm-up pass.
+//!
+//! The file records the host's core count and `rustc` version, because a
+//! row only holds on the host class where it was measured.
 //!
 //! With `--check` it acts as the CI `store-smoke` regression gate:
 //! compression must beat 8 bytes/edge on every family (half the raw edge
@@ -17,6 +21,7 @@
 //! real work, but an order-of-magnitude collapse means the seek path or
 //! chunk alignment regressed).
 
+use gp_bench::{host_cores, median_seconds, rustc_version};
 use gp_core::StreamingEdges;
 use gp_gen::{build_powerlaw_store, PowerLawStreamParams};
 use gp_partition::{PartitionContext, Strategy};
@@ -26,22 +31,20 @@ use std::time::Instant;
 const BUILD_EDGES: u64 = 4_000_000;
 const INGRESS_SCALE: f64 = 0.5;
 const PARTITIONS: u32 = 9;
+/// Timed ingress passes per row; the row reports their median.
+const PASSES: usize = 9;
 
-/// Best-of-3 edges/second for one full partitioning pass over `graph`.
+/// Median edges/second over [`PASSES`] full partitioning passes.
 fn measure_ingress(graph: &dyn StreamingEdges, strategy: Strategy) -> f64 {
     let ctx = PartitionContext::new(PARTITIONS)
         .with_seed(1)
         .with_threads(1);
-    strategy.build().partition(graph, &ctx); // warm-up
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
+    let secs = median_seconds(PASSES, || {
         let out = strategy.build().partition(graph, &ctx);
-        let dt = t0.elapsed().as_secs_f64();
         assert_eq!(out.assignment.num_edges(), graph.num_edges());
-        best = best.min(dt);
-    }
-    graph.num_edges() as f64 / best
+        out
+    });
+    graph.num_edges() as f64 / secs
 }
 
 fn main() {
@@ -124,9 +127,12 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"store\",\n  \"build\": {{\"edges\": {}, \"edges_per_sec\": \
-         {build_eps:.0}, \"bytes_per_edge\": {:.3}}},\n  \"compression\": [\n{}\n  ],\n  \
+        "{{\n  \"bench\": \"store\",\n  \"cores\": {},\n  \"rustc\": \"{}\",\n  \
+         \"build\": {{\"edges\": {}, \"edges_per_sec\": {build_eps:.0}, \
+         \"bytes_per_edge\": {:.3}}},\n  \"compression\": [\n{}\n  ],\n  \
          \"ingress\": [\n{}\n  ]\n}}\n",
+        host_cores(),
+        rustc_version(),
         stats.num_edges,
         stats.bytes_per_edge(),
         compression_json.join(",\n"),

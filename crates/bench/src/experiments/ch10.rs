@@ -11,6 +11,7 @@
 use crate::experiments::{gb, secs};
 use crate::pipeline::{App, EngineKind, JobResult, Pipeline};
 use gp_cluster::{ClusterSpec, CostRates, Table};
+use gp_engine::EngineConfig;
 use gp_fault::{recovery_cost, CheckpointPolicy, FaultPlan, FaultRates};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
@@ -31,23 +32,18 @@ const CRASH_STEP: u32 = 10;
 /// Run the single-crash scenario for one strategy: PageRank(20) on UK-web /
 /// EC2-16, one crash at superstep [`CRASH_STEP`], checkpoint every 4 steps.
 fn crash_job(pipeline: &mut Pipeline, strategy: Strategy, faulted: bool) -> JobResult {
-    let spec = ClusterSpec::ec2_16();
-    let (plan, policy) = if faulted {
-        (
-            FaultPlan::crash_at(CRASH_STEP, DEAD_MACHINE),
-            CheckpointPolicy::every(4),
-        )
-    } else {
-        (FaultPlan::none(), CheckpointPolicy::disabled())
-    };
-    pipeline.run_with_faults(
+    let mut config = EngineConfig::new(ClusterSpec::ec2_16());
+    if faulted {
+        config = config
+            .with_fault_plan(FaultPlan::crash_at(CRASH_STEP, DEAD_MACHINE))
+            .with_checkpoint(CheckpointPolicy::every(4));
+    }
+    pipeline.run_with(
         Dataset::UkWeb,
         strategy,
-        &spec,
         EngineKind::PowerGraph,
         App::PageRankFixed(20),
-        plan,
-        policy,
+        config,
     )
 }
 
@@ -137,14 +133,14 @@ pub fn ch10_interval(scale: f64, seed: u64) -> Vec<Table> {
             } else {
                 CheckpointPolicy::every(interval)
             };
-            let job = pipeline.run_with_faults(
+            let job = pipeline.run_with(
                 Dataset::UkWeb,
                 strategy,
-                &spec,
                 EngineKind::PowerGraph,
                 App::PageRankFixed(HORIZON),
-                plan,
-                policy,
+                EngineConfig::new(spec.clone())
+                    .with_fault_plan(plan)
+                    .with_checkpoint(policy),
             );
             walls[ri].push(job.compute_seconds);
             row.push(secs(job.compute_seconds));

@@ -15,8 +15,8 @@ use crate::experiments::ch10::CH10_STRATEGIES;
 use crate::experiments::{gb, secs};
 use crate::pipeline::{App, EngineKind, JobResult, Pipeline};
 use gp_cluster::{ClusterSpec, Table};
-use gp_engine::CommsConfig;
-use gp_fault::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
+use gp_engine::{CommsConfig, EngineConfig};
+use gp_fault::{FaultEvent, FaultKind, FaultPlan};
 use gp_gen::Dataset;
 use gp_partition::Strategy;
 
@@ -27,15 +27,15 @@ const HORIZON: u32 = 20;
 
 fn lossy_job(pipeline: &mut Pipeline, strategy: Strategy, loss: f64) -> JobResult {
     let spec = ClusterSpec::ec2_16();
-    pipeline.run_with_comms(
+    let plan = FaultPlan::uniform_flaky(loss, spec.machines, HORIZON);
+    pipeline.run_with(
         Dataset::UkWeb,
         strategy,
-        &spec,
         EngineKind::PowerGraph,
         App::PageRankFixed(HORIZON),
-        FaultPlan::uniform_flaky(loss, spec.machines, HORIZON),
-        CheckpointPolicy::disabled(),
-        CommsConfig::reliable(),
+        EngineConfig::new(spec)
+            .with_fault_plan(plan)
+            .with_comms(CommsConfig::reliable()),
     )
 }
 
@@ -95,16 +95,14 @@ fn straggler_plan() -> FaultPlan {
 }
 
 fn straggler_job(pipeline: &mut Pipeline, strategy: Strategy, comms: CommsConfig) -> JobResult {
-    let spec = ClusterSpec::ec2_16();
-    pipeline.run_with_comms(
+    pipeline.run_with(
         Dataset::UkWeb,
         strategy,
-        &spec,
         EngineKind::PowerGraph,
         App::PageRankFixed(HORIZON),
-        straggler_plan(),
-        CheckpointPolicy::disabled(),
-        comms,
+        EngineConfig::new(ClusterSpec::ec2_16())
+            .with_fault_plan(straggler_plan())
+            .with_comms(comms),
     )
 }
 

@@ -19,8 +19,8 @@ use gp_cluster::{ClusterSpec, Table};
 use gp_elastic::{
     ElasticConfig, ElasticPlan, RepairPolicy, SchedulePolicy, TenantJob, TenantScheduler,
 };
-use gp_engine::CommsConfig;
-use gp_fault::{CheckpointPolicy, FaultPlan};
+use gp_engine::EngineConfig;
+use gp_fault::CheckpointPolicy;
 use gp_gen::Dataset;
 use gp_partition::Strategy;
 use gp_telemetry::TelemetrySink;
@@ -55,29 +55,6 @@ fn app_label(app: App) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn elastic_run(
-    p: &mut Pipeline,
-    dataset: Dataset,
-    spec: &ClusterSpec,
-    strategy: Strategy,
-    app: App,
-    checkpoint: CheckpointPolicy,
-    elastic: ElasticConfig,
-) -> JobResult {
-    p.run_with_elastic(
-        dataset,
-        strategy,
-        spec,
-        EngineKind::PowerGraph,
-        app,
-        FaultPlan::none(),
-        checkpoint,
-        CommsConfig::disabled(),
-        elastic,
-    )
-}
-
 /// Table 13.1 + 13.2 — the scale-out dilemma and tenant scheduling.
 ///
 /// Expectations for 13.1: with most of a long job ahead of the event,
@@ -106,34 +83,22 @@ pub fn ch13_elasticity(scale: f64, seed: u64) -> Vec<Table> {
     );
     for strategy in ELASTIC_STRATEGIES {
         for app in ELASTIC_APPS {
-            let plan = || ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K);
-            let ride = elastic_run(
-                &mut p,
-                Dataset::LiveJournal,
-                &spec,
-                strategy,
-                app,
-                CheckpointPolicy::disabled(),
-                ElasticConfig::new(plan()).with_repair(RepairPolicy::NeverRepartition),
-            );
-            let repart = elastic_run(
-                &mut p,
-                Dataset::LiveJournal,
-                &spec,
-                strategy,
-                app,
-                CheckpointPolicy::disabled(),
-                ElasticConfig::new(plan()).with_repair(RepairPolicy::AlwaysRepartition),
-            );
-            let cost_based = elastic_run(
-                &mut p,
-                Dataset::LiveJournal,
-                &spec,
-                strategy,
-                app,
-                CheckpointPolicy::disabled(),
-                ElasticConfig::new(plan()),
-            );
+            let mut scale_out = |repair: RepairPolicy| {
+                let elastic =
+                    ElasticConfig::new(ElasticPlan::scale_out_at(SCALE_OUT_STEP, SCALE_OUT_K))
+                        .with_repair(repair);
+                let config = EngineConfig::new(spec.clone()).with_elastic(elastic);
+                p.run_with(
+                    Dataset::LiveJournal,
+                    strategy,
+                    EngineKind::PowerGraph,
+                    app,
+                    config,
+                )
+            };
+            let ride = scale_out(RepairPolicy::NeverRepartition);
+            let repart = scale_out(RepairPolicy::AlwaysRepartition);
+            let cost_based = scale_out(RepairPolicy::default());
             let winner = if repart.compute_seconds < ride.compute_seconds {
                 "re-partition"
             } else {
@@ -243,17 +208,20 @@ fn tenant_job(name: &str, arrival_s: f64, solo: &JobResult) -> TenantJob {
 /// drops to the evacuation cost — the crossover that prices how much spot
 /// warning is worth buying.
 pub fn ch13_preemption(scale: f64, seed: u64) -> Vec<Table> {
-    let spec = ClusterSpec::local_9();
     let mut p = Pipeline::new(scale, seed);
-    let clean = elastic_run(
-        &mut p,
-        Dataset::RoadNetCa,
-        &spec,
-        Strategy::Grid,
-        App::Sssp { undirected: true },
-        CheckpointPolicy::every(4),
-        ElasticConfig::disabled(),
-    );
+    let mut preempted = |elastic: ElasticConfig| {
+        let config = EngineConfig::new(ClusterSpec::local_9())
+            .with_checkpoint(CheckpointPolicy::every(4))
+            .with_elastic(elastic);
+        p.run_with(
+            Dataset::RoadNetCa,
+            Strategy::Grid,
+            EngineKind::PowerGraph,
+            App::Sssp { undirected: true },
+            config,
+        )
+    };
+    let clean = preempted(ElasticConfig::disabled());
     let mut t = Table::new(
         format!(
             "Table 13.3 — Machine {PREEMPT_MACHINE} preempted at superstep {PREEMPT_STEP} \
@@ -270,15 +238,11 @@ pub fn ch13_preemption(scale: f64, seed: u64) -> Vec<Table> {
         ],
     );
     for w in WARNING_WINDOWS {
-        let r = elastic_run(
-            &mut p,
-            Dataset::RoadNetCa,
-            &spec,
-            Strategy::Grid,
-            App::Sssp { undirected: true },
-            CheckpointPolicy::every(4),
-            ElasticConfig::new(ElasticPlan::preempt_at(PREEMPT_STEP, PREEMPT_MACHINE, w)),
-        );
+        let r = preempted(ElasticConfig::new(ElasticPlan::preempt_at(
+            PREEMPT_STEP,
+            PREEMPT_MACHINE,
+            w,
+        )));
         let outcome = if r.evacuations > 0 {
             "evacuated"
         } else {

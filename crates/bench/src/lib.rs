@@ -13,6 +13,48 @@ pub mod pipeline;
 
 pub use pipeline::{App, EngineKind, JobResult, Pipeline};
 
+use std::time::Instant;
+
+/// Median wall-clock seconds of `passes` timed calls of `pass`, after one
+/// untimed warm-up call. Whatever `pass` returns is dropped outside the
+/// timed window. The `BENCH_*.json` binaries time their ingress rows this
+/// way.
+pub fn median_seconds<T>(passes: usize, mut pass: impl FnMut() -> T) -> f64 {
+    assert!(passes > 0, "need at least one timed pass");
+    pass(); // warm-up
+    let mut secs: Vec<f64> = (0..passes)
+        .map(|_| {
+            let t0 = Instant::now();
+            let out = pass();
+            let dt = t0.elapsed().as_secs_f64();
+            drop(out);
+            dt
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[passes / 2]
+}
+
+/// Cores this host offers to one process. A `BENCH_*.json` row only holds
+/// on the host class where it was measured, so every file records it.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// `rustc --version` of the toolchain on `PATH`, or `"unknown"`.
+pub fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().replace('"', "'"))
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Least-squares fit `y = a + b·x`; returns `(intercept, slope)`. Used to
 /// draw the trend lines of Figs 5.3–5.5/6.1/6.2/8.3.
 pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64) {
@@ -72,6 +114,14 @@ mod tests {
     fn pearson_is_one_for_perfect_lines() {
         let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 5.0 - 2.0 * i as f64)).collect();
         assert!((pearson(&pts) + 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn median_seconds_warms_up_then_times_every_pass() {
+        let mut calls = 0;
+        let secs = median_seconds(9, || calls += 1);
+        assert_eq!(calls, 10, "one warm-up plus nine timed passes");
+        assert!(secs >= 0.0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The measurement pipeline: dataset → partition → ingress pricing →
 //! engine run → §4.3 metrics.
 
-use gp_apps::{Coloring, PageRank, Sssp, Wcc};
+use gp_apps::{Coloring, KCore, PageRank, Sssp, Wcc};
 use gp_cluster::{ClusterSpec, CostRates};
 use gp_core::{EdgeList, VertexId};
+use gp_engine::pregel::PregelOom;
 use gp_engine::{
-    base_memory_per_machine, AsyncGas, CommsConfig, ComputeReport, ElasticConfig, EngineConfig,
-    HybridGas, Pregel, PregelConfig, SyncGas,
+    base_memory_per_machine, AsyncGas, ComputeReport, EngineConfig, HybridGas, Pregel,
+    PregelConfig, SyncGas, VertexProgram,
 };
-use gp_fault::{CheckpointPolicy, FaultPlan};
 use gp_gen::Dataset;
-use gp_partition::{IngressReport, PartitionContext, PartitionOutcome, Strategy};
+use gp_partition::{Assignment, IngressReport, PartitionContext, PartitionOutcome, Strategy};
 use gp_telemetry::{machine_span, span, TelemetrySink};
 use std::collections::HashMap;
 
@@ -48,6 +48,35 @@ impl EngineKind {
                 ..
             } => spec.machines * partitions_per_machine,
             _ => spec.machines,
+        }
+    }
+
+    /// Run one vertex program on this system's synchronous engine:
+    /// PowerGraph's GAS, PowerLyra's hybrid GAS, or GraphX's Pregel with
+    /// this kind's executor memory. Only GraphX can fail, when the
+    /// partitioned graph does not fit its executors.
+    pub fn run_program<P: VertexProgram>(
+        self,
+        config: &EngineConfig,
+        graph: &EdgeList,
+        assignment: &Assignment,
+        program: &P,
+    ) -> Result<ComputeReport, PregelOom> {
+        match self {
+            EngineKind::PowerGraph => Ok(SyncGas::new(config.clone())
+                .run(graph, assignment, program)
+                .1),
+            EngineKind::PowerLyra => Ok(HybridGas::new(config.clone())
+                .run(graph, assignment, program)
+                .1),
+            EngineKind::GraphX {
+                executor_memory_bytes,
+                ..
+            } => Pregel::new(
+                PregelConfig::new(config.clone()).with_executor_memory(executor_memory_bytes),
+            )
+            .run(graph, assignment, program)
+            .map(|(_, report)| report),
         }
     }
 }
@@ -299,7 +328,8 @@ impl Pipeline {
         (report, seconds)
     }
 
-    /// Run the full pipeline for one job (fault-free, no checkpointing).
+    /// Run the full pipeline for one job on a healthy cluster: no faults,
+    /// no checkpointing, an idealized network and a fixed machine set.
     pub fn run(
         &mut self,
         dataset: Dataset,
@@ -308,89 +338,32 @@ impl Pipeline {
         engine: EngineKind,
         app: App,
     ) -> JobResult {
-        self.run_with_faults(
+        self.run_with(
             dataset,
             strategy,
-            spec,
             engine,
             app,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
+            EngineConfig::new(spec.clone()),
         )
     }
 
-    /// Run one job under a fault plan and checkpoint policy (ch10). With an
-    /// empty plan and checkpointing disabled this is exactly [`Pipeline::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_faults(
+    /// Run one job under every mid-job model `config` carries: its cluster
+    /// spec plus whatever fault plan, checkpoint policy, comms protocols
+    /// and elastic plan its builders set (ch10, ch11, ch13). The pipeline
+    /// supplies threads and telemetry itself, overriding the config's.
+    /// With every model disabled this is exactly [`Pipeline::run`].
+    pub fn run_with(
         &mut self,
         dataset: Dataset,
         strategy: Strategy,
-        spec: &ClusterSpec,
         engine: EngineKind,
         app: App,
-        fault_plan: FaultPlan,
-        checkpoint: CheckpointPolicy,
+        config: EngineConfig,
     ) -> JobResult {
-        self.run_with_comms(
-            dataset,
-            strategy,
-            spec,
-            engine,
-            app,
-            fault_plan,
-            checkpoint,
-            CommsConfig::disabled(),
-        )
-    }
-
-    /// Run one job under a fault plan, checkpoint policy and communication
-    /// protocol config (ch11). With comms disabled this is exactly
-    /// [`Pipeline::run_with_faults`]; with everything disabled it is exactly
-    /// [`Pipeline::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_comms(
-        &mut self,
-        dataset: Dataset,
-        strategy: Strategy,
-        spec: &ClusterSpec,
-        engine: EngineKind,
-        app: App,
-        fault_plan: FaultPlan,
-        checkpoint: CheckpointPolicy,
-        comms: CommsConfig,
-    ) -> JobResult {
-        self.run_with_elastic(
-            dataset,
-            strategy,
-            spec,
-            engine,
-            app,
-            fault_plan,
-            checkpoint,
-            comms,
-            ElasticConfig::disabled(),
-        )
-    }
-
-    /// Run one job under every mid-job model at once: faults, checkpoints,
-    /// the comms protocol, and an elastic plan of scale-outs and departures
-    /// (ch13). The widest variant — with the elastic config disabled it is
-    /// exactly [`Pipeline::run_with_comms`], and with everything disabled it
-    /// is exactly [`Pipeline::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_elastic(
-        &mut self,
-        dataset: Dataset,
-        strategy: Strategy,
-        spec: &ClusterSpec,
-        engine: EngineKind,
-        app: App,
-        fault_plan: FaultPlan,
-        checkpoint: CheckpointPolicy,
-        comms: CommsConfig,
-        elastic: ElasticConfig,
-    ) -> JobResult {
+        let config = config
+            .with_threads(self.threads)
+            .with_telemetry(self.telemetry.clone());
+        let spec = &config.spec;
         let (ingress_report, ingress_seconds) = self.ingress(dataset, strategy, spec, engine);
         let partitions = engine.partitions(spec);
         let outcome = &self.partitions[&(dataset, strategy, partitions, spec.machines)];
@@ -427,68 +400,33 @@ impl Pipeline {
             }
             telemetry.set_time_offset(ingress_seconds);
         }
-        let config = EngineConfig::new(spec.clone())
-            .with_fault_plan(fault_plan)
-            .with_checkpoint(checkpoint)
-            .with_comms(comms)
-            .with_elastic(elastic)
-            .with_threads(self.threads)
-            .with_telemetry(telemetry.clone());
 
-        let reports: Vec<ComputeReport> = match (engine, app) {
-            (EngineKind::PowerGraph, App::Coloring) | (EngineKind::PowerLyra, App::Coloring) => {
-                let e = AsyncGas::new(config.clone());
-                vec![e.run(graph, assignment, &Coloring).1]
-            }
-            (EngineKind::PowerGraph, _) => {
-                let e = SyncGas::new(config.clone());
-                run_app_sync(&e, graph, assignment, app)
-            }
-            (EngineKind::PowerLyra, _) => {
-                let e = HybridGas::new(config.clone());
-                run_app_hybrid(&e, graph, assignment, app)
-            }
-            (
-                EngineKind::GraphX {
-                    executor_memory_bytes,
-                    ..
-                },
-                _,
-            ) => {
-                let pcfg =
-                    PregelConfig::new(config.clone()).with_executor_memory(executor_memory_bytes);
-                let e = Pregel::new(pcfg);
-                match run_app_pregel(&e, graph, assignment, app) {
-                    Ok(reports) => reports,
-                    Err(_) => {
-                        return JobResult {
-                            strategy,
-                            app: app.label(),
-                            replication_factor: ingress_report.replication_factor,
-                            ingress_seconds,
-                            compute_seconds: f64::INFINITY,
-                            mean_net_in_bytes: 0.0,
-                            peak_memory_bytes: 0.0,
-                            supersteps: 0,
-                            cpu_percents: Vec::new(),
-                            cumulative_seconds: Vec::new(),
-                            checkpoint_bytes: 0.0,
-                            recovery_seconds: 0.0,
-                            supersteps_replayed: 0,
-                            retransmit_bytes: 0.0,
-                            retry_timeout_seconds: 0.0,
-                            speculative_clones: 0,
-                            speculation_saved_seconds: 0.0,
-                            scale_events: 0,
-                            evacuations: 0,
-                            evacuated_bytes: 0.0,
-                            forced_recoveries: 0,
-                            reingress_seconds: 0.0,
-                            failed: true,
-                        }
-                    }
-                }
-            }
+        let Ok(reports) = run_app(engine, &config, graph, assignment, app) else {
+            return JobResult {
+                strategy,
+                app: app.label(),
+                replication_factor: ingress_report.replication_factor,
+                ingress_seconds,
+                compute_seconds: f64::INFINITY,
+                mean_net_in_bytes: 0.0,
+                peak_memory_bytes: 0.0,
+                supersteps: 0,
+                cpu_percents: Vec::new(),
+                cumulative_seconds: Vec::new(),
+                checkpoint_bytes: 0.0,
+                recovery_seconds: 0.0,
+                supersteps_replayed: 0,
+                retransmit_bytes: 0.0,
+                retry_timeout_seconds: 0.0,
+                speculative_clones: 0,
+                speculation_saved_seconds: 0.0,
+                scale_events: 0,
+                evacuations: 0,
+                evacuated_bytes: 0.0,
+                forced_recoveries: 0,
+                reingress_seconds: 0.0,
+                failed: true,
+            };
         };
 
         // Wall clock per report: superstep walls plus any recovery transfer
@@ -553,69 +491,33 @@ impl Pipeline {
     }
 }
 
-fn run_app_sync(
-    e: &SyncGas,
+/// One job's compute phase: every engine run `app` needs, in order. Fails
+/// on the first GraphX run that does not fit its executors (§7.3).
+fn run_app(
+    engine: EngineKind,
+    config: &EngineConfig,
     g: &EdgeList,
-    a: &gp_partition::Assignment,
+    a: &Assignment,
     app: App,
-) -> Vec<ComputeReport> {
+) -> Result<Vec<ComputeReport>, PregelOom> {
+    let once = |report: Result<ComputeReport, PregelOom>| report.map(|r| vec![r]);
     match app {
-        App::PageRankFixed(n) => vec![e.run(g, a, &PageRank::fixed(n)).1],
-        App::PageRankConv => vec![e.run(g, a, &PageRank::to_convergence()).1],
-        App::Wcc => vec![e.run(g, a, &Wcc).1],
+        App::PageRankFixed(n) => once(engine.run_program(config, g, a, &PageRank::fixed(n))),
+        App::PageRankConv => once(engine.run_program(config, g, a, &PageRank::to_convergence())),
+        App::Wcc => once(engine.run_program(config, g, a, &Wcc)),
         App::Sssp { undirected } => {
-            let prog = sssp_prog(g, undirected);
-            vec![e.run(g, a, &prog).1]
-        }
-        App::KCore { k_min, k_max } => gp_apps::kcore::decompose(e, g, a, k_min, k_max).reports,
-        App::Coloring => unreachable!("coloring runs on the async engine"),
-    }
-}
-
-fn run_app_hybrid(
-    e: &HybridGas,
-    g: &EdgeList,
-    a: &gp_partition::Assignment,
-    app: App,
-) -> Vec<ComputeReport> {
-    match app {
-        App::PageRankFixed(n) => vec![e.run(g, a, &PageRank::fixed(n)).1],
-        App::PageRankConv => vec![e.run(g, a, &PageRank::to_convergence()).1],
-        App::Wcc => vec![e.run(g, a, &Wcc).1],
-        App::Sssp { undirected } => {
-            let prog = sssp_prog(g, undirected);
-            vec![e.run(g, a, &prog).1]
+            once(engine.run_program(config, g, a, &sssp_prog(g, undirected)))
         }
         App::KCore { k_min, k_max } => (k_min..=k_max)
-            .map(|k| e.run(g, a, &gp_apps::KCore::new(k)).1)
+            .map(|k| engine.run_program(config, g, a, &KCore::new(k)))
             .collect(),
-        App::Coloring => unreachable!("coloring runs on the async engine"),
-    }
-}
-
-fn run_app_pregel(
-    e: &Pregel,
-    g: &EdgeList,
-    a: &gp_partition::Assignment,
-    app: App,
-) -> Result<Vec<ComputeReport>, gp_engine::pregel::PregelOom> {
-    Ok(match app {
-        App::PageRankFixed(n) => vec![e.run(g, a, &PageRank::fixed(n))?.1],
-        App::PageRankConv => vec![e.run(g, a, &PageRank::to_convergence())?.1],
-        App::Wcc => vec![e.run(g, a, &Wcc)?.1],
-        App::Sssp { undirected } => {
-            let prog = sssp_prog(g, undirected);
-            vec![e.run(g, a, &prog)?.1]
-        }
-        App::KCore { k_min, k_max } => {
-            let mut reports = Vec::new();
-            for k in k_min..=k_max {
-                reports.push(e.run(g, a, &gp_apps::KCore::new(k))?.1);
+        App::Coloring => match engine {
+            EngineKind::PowerGraph | EngineKind::PowerLyra => {
+                Ok(vec![AsyncGas::new(config.clone()).run(g, a, &Coloring).1])
             }
-            reports
-        }
-        App::Coloring => vec![e.run(g, a, &Coloring)?.1],
-    })
+            EngineKind::GraphX { .. } => once(engine.run_program(config, g, a, &Coloring)),
+        },
+    }
 }
 
 /// SSSP sourced at the highest-out-degree vertex, so the frontier reaches a
@@ -636,6 +538,8 @@ fn sssp_prog(g: &EdgeList, undirected: bool) -> Sssp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gp_engine::{CommsConfig, ElasticConfig};
+    use gp_fault::{CheckpointPolicy, FaultPlan};
 
     fn small_pipeline() -> Pipeline {
         Pipeline::new(0.05, 7)
@@ -740,52 +644,54 @@ mod tests {
         assert_eq!(EngineKind::graphx_default().partitions(&spec), 160);
     }
 
+    /// The job every scenario test below perturbs.
+    const JOB: (Dataset, Strategy, EngineKind) =
+        (Dataset::LiveJournal, Strategy::Grid, EngineKind::PowerGraph);
+
+    fn scenario(p: &mut Pipeline, app: App, config: EngineConfig) -> JobResult {
+        p.run_with(JOB.0, JOB.1, JOB.2, app, config)
+    }
+
+    fn local_9() -> EngineConfig {
+        EngineConfig::new(ClusterSpec::local_9())
+    }
+
     #[test]
-    fn fault_free_run_with_faults_matches_run() {
+    fn run_with_disabled_models_matches_run() {
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
+        let app = App::PageRankFixed(5);
+        let clean = p.run(JOB.0, JOB.1, &ClusterSpec::local_9(), JOB.2, app);
+        let disabled = scenario(
+            &mut p,
+            app,
+            local_9()
+                .with_fault_plan(FaultPlan::none())
+                .with_checkpoint(CheckpointPolicy::disabled())
+                .with_comms(CommsConfig::disabled())
+                .with_elastic(ElasticConfig::disabled()),
         );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let faultless = p.run_with_faults(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-        );
-        assert_eq!(clean.compute_seconds, faultless.compute_seconds);
-        assert_eq!(clean.mean_net_in_bytes, faultless.mean_net_in_bytes);
-        assert_eq!(faultless.checkpoint_bytes, 0.0);
-        assert_eq!(faultless.recovery_seconds, 0.0);
-        assert_eq!(faultless.supersteps_replayed, 0);
+        assert_eq!(clean.compute_seconds, disabled.compute_seconds);
+        assert_eq!(clean.mean_net_in_bytes, disabled.mean_net_in_bytes);
+        assert_eq!(disabled.checkpoint_bytes, 0.0);
+        assert_eq!(disabled.recovery_seconds, 0.0);
+        assert_eq!(disabled.supersteps_replayed, 0);
+        assert_eq!(disabled.retransmit_bytes, 0.0);
+        assert_eq!(disabled.scale_events, 0);
+        assert_eq!(disabled.evacuations, 0);
+        assert_eq!(disabled.reingress_seconds, 0.0);
     }
 
     #[test]
     fn crashed_job_pays_recovery_and_replay() {
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let crashed = p.run_with_faults(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::crash_at(3, 2),
-            CheckpointPolicy::every(2),
+        let app = App::PageRankFixed(5);
+        let clean = scenario(&mut p, app, local_9());
+        let crashed = scenario(
+            &mut p,
+            app,
+            local_9()
+                .with_fault_plan(FaultPlan::crash_at(3, 2))
+                .with_checkpoint(CheckpointPolicy::every(2)),
         );
         assert!(crashed.supersteps_replayed > 0, "a crash must force replay");
         assert!(
@@ -834,23 +740,14 @@ mod tests {
     #[test]
     fn lossy_network_job_pays_retransmits() {
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let lossy = p.run_with_comms(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::uniform_flaky(0.1, 9, 100),
-            CheckpointPolicy::disabled(),
-            CommsConfig::reliable(),
+        let app = App::PageRankFixed(5);
+        let clean = scenario(&mut p, app, local_9());
+        let lossy = scenario(
+            &mut p,
+            app,
+            local_9()
+                .with_fault_plan(FaultPlan::uniform_flaky(0.1, 9, 100))
+                .with_comms(CommsConfig::reliable()),
         );
         assert!(lossy.retransmit_bytes > 0.0);
         assert!(lossy.retry_timeout_seconds > 0.0);
@@ -862,98 +759,38 @@ mod tests {
     }
 
     #[test]
-    fn disabled_comms_matches_run_with_faults_exactly() {
+    fn disabled_comms_and_elastic_leave_a_faulted_job_unchanged() {
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
+        let app = App::PageRankFixed(5);
+        let faulted = || {
+            local_9()
+                .with_fault_plan(FaultPlan::crash_at(3, 2))
+                .with_checkpoint(CheckpointPolicy::every(2))
+        };
+        let faults = scenario(&mut p, app, faulted());
+        let layered = scenario(
+            &mut p,
+            app,
+            faulted()
+                .with_comms(CommsConfig::disabled())
+                .with_elastic(ElasticConfig::disabled()),
         );
-        let faults = p.run_with_faults(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::crash_at(3, 2),
-            CheckpointPolicy::every(2),
-        );
-        let comms = p.run_with_comms(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::crash_at(3, 2),
-            CheckpointPolicy::every(2),
-            CommsConfig::disabled(),
-        );
-        assert_eq!(faults.compute_seconds, comms.compute_seconds);
-        assert_eq!(comms.retransmit_bytes, 0.0);
-        assert_eq!(comms.speculative_clones, 0);
-    }
-
-    #[test]
-    fn disabled_elastic_matches_run_with_comms_exactly() {
-        let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(5),
-        );
-        let comms = p.run_with_comms(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-            CommsConfig::disabled(),
-        );
-        let elastic = p.run_with_elastic(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-            CommsConfig::disabled(),
-            ElasticConfig::disabled(),
-        );
-        assert_eq!(comms.compute_seconds, elastic.compute_seconds);
-        assert_eq!(elastic.scale_events, 0);
-        assert_eq!(elastic.evacuations, 0);
-        assert_eq!(elastic.reingress_seconds, 0.0);
+        assert_eq!(faults.compute_seconds, layered.compute_seconds);
+        assert_eq!(layered.retransmit_bytes, 0.0);
+        assert_eq!(layered.speculative_clones, 0);
+        assert_eq!(layered.scale_events, 0);
     }
 
     #[test]
     fn preempted_job_records_elastic_costs() {
         use gp_engine::ElasticPlan;
         let mut p = small_pipeline();
-        let spec = ClusterSpec::local_9();
-        let args = (
-            Dataset::LiveJournal,
-            Strategy::Grid,
-            EngineKind::PowerGraph,
-            App::PageRankFixed(8),
-        );
-        let clean = p.run(args.0, args.1, &spec, args.2, args.3);
-        let preempted = p.run_with_elastic(
-            args.0,
-            args.1,
-            &spec,
-            args.2,
-            args.3,
-            FaultPlan::none(),
-            CheckpointPolicy::disabled(),
-            CommsConfig::disabled(),
-            ElasticConfig::new(ElasticPlan::preempt_at(3, 2, 3)),
+        let app = App::PageRankFixed(8);
+        let clean = scenario(&mut p, app, local_9());
+        let preempted = scenario(
+            &mut p,
+            app,
+            local_9().with_elastic(ElasticConfig::new(ElasticPlan::preempt_at(3, 2, 3))),
         );
         assert_eq!(preempted.scale_events, 1);
         assert_eq!(preempted.evacuations, 1);

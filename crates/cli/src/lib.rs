@@ -35,12 +35,12 @@ use gp_apps::{PageRank, Sssp, Wcc};
 use gp_bench::{App, EngineKind, Pipeline};
 use gp_cluster::{ClusterSpec, CostRates, Table};
 use gp_core::io::read_edge_list;
-use gp_core::{EdgeList, GraphStats, StreamingEdges};
+use gp_core::{GraphStats, StreamingEdges};
 use gp_elastic::{
     ElasticConfig, ElasticEvent, ElasticKind, ElasticPlan, RepairPolicy, SchedulePolicy, TenantJob,
     TenantScheduler,
 };
-use gp_engine::{CommsConfig, EngineConfig, HybridGas, Pregel, PregelConfig, SyncGas};
+use gp_engine::{CommsConfig, EngineConfig, SyncGas};
 use gp_fault::{recovery_cost, CheckpointPolicy, FaultEvent, FaultKind, FaultPlan};
 use gp_gen::{classify, Dataset, DegreeAnalysis, PowerLawStreamParams};
 use gp_partition::{IngressReport, PartitionContext, Strategy};
@@ -279,6 +279,18 @@ pub enum SystemChoice {
     PowerLyra,
     /// GraphX: Fig 9.3 tree, Pregel engine.
     GraphX,
+}
+
+impl SystemChoice {
+    /// The engine this system runs on (GraphX with the paper's executor
+    /// defaults).
+    pub fn engine_kind(self) -> EngineKind {
+        match self {
+            SystemChoice::PowerGraph => EngineKind::PowerGraph,
+            SystemChoice::PowerLyra => EngineKind::PowerLyra,
+            SystemChoice::GraphX => EngineKind::graphx_default(),
+        }
+    }
 }
 
 impl std::str::FromStr for SystemChoice {
@@ -1224,6 +1236,12 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
                     Err(e) => return fail(out, &format!("cannot load {pf}: {e}")),
                 }
             } else {
+                if !strategy.supports_partition_count(*parts) {
+                    return fail(
+                        out,
+                        &format!("{} cannot run on {parts} partitions", strategy.label()),
+                    );
+                }
                 let ctx = PartitionContext::new(*parts)
                     .with_seed(*seed)
                     .with_threads(*threads);
@@ -1233,8 +1251,18 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
                 SystemChoice::GraphX => ClusterSpec::local_10(),
                 _ => ClusterSpec::local_9(),
             };
-            let report = run_app(graph, &assignment, *app, *system, &spec, *threads);
-            let Some(report) = report else {
+            let config = EngineConfig::new(spec.clone()).with_threads(*threads);
+            let kind = system.engine_kind();
+            let report = match app {
+                AppChoice::PageRank => {
+                    kind.run_program(&config, graph, &assignment, &PageRank::to_convergence())
+                }
+                AppChoice::Wcc => kind.run_program(&config, graph, &assignment, &Wcc),
+                AppChoice::Sssp => {
+                    kind.run_program(&config, graph, &assignment, &Sssp::undirected(0u64))
+                }
+            };
+            let Ok(report) = report else {
                 return fail(out, "job ran out of memory on the simulated cluster");
             };
             writeln!(
@@ -1265,11 +1293,7 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
             out_dir,
         } => {
             let spec = cluster.spec();
-            let kind = match system {
-                SystemChoice::PowerGraph => EngineKind::PowerGraph,
-                SystemChoice::PowerLyra => EngineKind::PowerLyra,
-                SystemChoice::GraphX => EngineKind::graphx_default(),
-            };
+            let kind = system.engine_kind();
             let partitions = kind.partitions(&spec);
             if !strategy.supports_partition_count(partitions) {
                 return fail(
@@ -1308,8 +1332,11 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
             let mut pipeline = Pipeline::new(*scale, *seed)
                 .with_telemetry(sink.clone())
                 .with_threads(*threads);
-            let result = pipeline
-                .run_with_comms(*dataset, *strategy, &spec, kind, *app, plan, policy, comms);
+            let config = EngineConfig::new(spec.clone())
+                .with_fault_plan(plan)
+                .with_checkpoint(policy)
+                .with_comms(comms);
+            let result = pipeline.run_with(*dataset, *strategy, kind, *app, config);
             if result.failed {
                 return fail(out, "job ran out of memory on the simulated cluster");
             }
@@ -1460,17 +1487,11 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
                     }
                     let clean =
                         pipeline.run(*dataset, *strategy, &spec, EngineKind::PowerGraph, app);
-                    let elastic = pipeline.run_with_elastic(
-                        *dataset,
-                        *strategy,
-                        &spec,
-                        EngineKind::PowerGraph,
-                        app,
-                        FaultPlan::none(),
-                        checkpoint,
-                        CommsConfig::disabled(),
-                        ElasticConfig::new(plan.clone()).with_repair(policy.clone()),
-                    );
+                    let config = EngineConfig::new(spec.clone())
+                        .with_checkpoint(checkpoint)
+                        .with_elastic(ElasticConfig::new(plan.clone()).with_repair(policy.clone()));
+                    let elastic =
+                        pipeline.run_with(*dataset, *strategy, EngineKind::PowerGraph, app, config);
                     t.row(vec![
                         strategy.label().to_string(),
                         format!("{:.2}", elastic.replication_factor),
@@ -1668,42 +1689,6 @@ pub fn execute<W: Write>(cmd: &Command, out: &mut W) -> std::io::Result<i32> {
             writeln!(out, "{t}")?;
             Ok(0)
         }
-    }
-}
-
-fn run_app(
-    graph: &EdgeList,
-    assignment: &gp_partition::Assignment,
-    app: AppChoice,
-    system: SystemChoice,
-    spec: &ClusterSpec,
-    threads: u32,
-) -> Option<gp_engine::ComputeReport> {
-    let config = EngineConfig::new(spec.clone()).with_threads(threads);
-    macro_rules! dispatch {
-        ($prog:expr) => {
-            match system {
-                SystemChoice::PowerGraph => Some(
-                    SyncGas::new(config.clone())
-                        .run(graph, assignment, &$prog)
-                        .1,
-                ),
-                SystemChoice::PowerLyra => Some(
-                    HybridGas::new(config.clone())
-                        .run(graph, assignment, &$prog)
-                        .1,
-                ),
-                SystemChoice::GraphX => Pregel::new(PregelConfig::new(config.clone()))
-                    .run(graph, assignment, &$prog)
-                    .ok()
-                    .map(|r| r.1),
-            }
-        };
-    }
-    match app {
-        AppChoice::PageRank => dispatch!(PageRank::to_convergence()),
-        AppChoice::Wcc => dispatch!(Wcc),
-        AppChoice::Sssp => dispatch!(Sssp::undirected(0u64)),
     }
 }
 
@@ -2027,15 +2012,25 @@ mod tests {
 
     #[test]
     fn run_works_on_all_three_systems() {
+        use AppChoice::{PageRank, Sssp, Wcc};
+        use SystemChoice::{GraphX, PowerGraph, PowerLyra};
         let path = temp_graph_named("run");
-        for system in [
-            SystemChoice::PowerGraph,
-            SystemChoice::PowerLyra,
-            SystemChoice::GraphX,
-        ] {
+        // Every (app, system) line, pinned byte for byte.
+        let expected = [
+            (PageRank, PowerGraph, "PageRank(C) on sync-gas (Local-9): 24 supersteps, 2.5 simulated seconds, 1.57 MiB of traffic"),
+            (PageRank, PowerLyra, "PageRank(C) on hybrid-gas (Local-9): 24 supersteps, 1.6 simulated seconds, 795.52 KiB of traffic"),
+            (PageRank, GraphX, "PageRank(C) on pregel (Local-10): 24 supersteps, 4.4 simulated seconds, 794.12 KiB of traffic"),
+            (Wcc, PowerGraph, "WCC on sync-gas (Local-9): 4 supersteps, 1.9 simulated seconds, 1.16 MiB of traffic"),
+            (Wcc, PowerLyra, "WCC on hybrid-gas (Local-9): 4 supersteps, 1.9 simulated seconds, 1.16 MiB of traffic"),
+            (Wcc, GraphX, "WCC on pregel (Local-10): 4 supersteps, 2.3 simulated seconds, 1.16 MiB of traffic"),
+            (Sssp, PowerGraph, "SSSP on sync-gas (Local-9): 5 supersteps, 0.8 simulated seconds, 352.70 KiB of traffic"),
+            (Sssp, PowerLyra, "SSSP on hybrid-gas (Local-9): 5 supersteps, 0.8 simulated seconds, 352.70 KiB of traffic"),
+            (Sssp, GraphX, "SSSP on pregel (Local-10): 5 supersteps, 1.4 simulated seconds, 352.70 KiB of traffic"),
+        ];
+        for (app, system, line) in expected {
             let (code, text) = run_to_string(&Command::Run {
                 path: path.clone(),
-                app: AppChoice::PageRank,
+                app,
                 strategy: Strategy::Hybrid,
                 parts: 9,
                 seed: 1,
@@ -2043,8 +2038,8 @@ mod tests {
                 partition_file: None,
                 threads: 2, // exercise the parallel engine path
             });
-            assert_eq!(code, 0, "{system:?}: {text}");
-            assert!(text.contains("PageRank"), "{system:?}: {text}");
+            assert_eq!(code, 0, "{app:?} on {system:?}: {text}");
+            assert_eq!(text, format!("{line}\n"), "{app:?} on {system:?}");
         }
     }
 
@@ -2535,7 +2530,7 @@ mod tests {
     fn pds_partition_count_is_validated() {
         let path = temp_graph_named("classify");
         let (code, text) = run_to_string(&Command::Partition {
-            path,
+            path: path.clone(),
             strategy: Strategy::Pds,
             parts: 9,
             seed: 1,
@@ -2544,6 +2539,18 @@ mod tests {
         });
         assert_eq!(code, 2);
         assert!(text.contains("cannot run on 9 partitions"), "{text}");
+        let (code, text) = run_to_string(&Command::Run {
+            path,
+            app: AppChoice::PageRank,
+            strategy: Strategy::Pds,
+            parts: 9,
+            seed: 1,
+            system: SystemChoice::PowerGraph,
+            partition_file: None,
+            threads: 1,
+        });
+        assert_eq!(code, 2);
+        assert!(text.contains("PDS cannot run on 9 partitions"), "{text}");
     }
 
     #[test]

@@ -448,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn elastic_runs_are_deterministic() {
+    fn generated_elastic_plans_price_deterministically() {
         let spec = ClusterSpec::local_9();
         let rates = ElasticRates {
             scale_out_per_step: 0.1,

@@ -86,10 +86,7 @@ impl SyncGas {
             GatherPolicy::AllMirrors,
             "sync-gas",
         );
-        crate::fault_hook::apply_fault_model(&mut report, &self.config, assignment);
-        crate::elastic_hook::apply_elastic_model(&mut report, &self.config, assignment);
-        crate::comms_hook::apply_comms_model(&mut report, &self.config);
-        crate::telemetry_hook::record_compute_telemetry(&self.config, &report);
+        self.config.finish_report(&mut report, assignment);
         (states, report)
     }
 }

@@ -29,9 +29,9 @@
 //! described by the [`gp_partition::Assignment`].
 
 pub mod async_gas;
-pub mod comms_hook;
-pub mod elastic_hook;
-pub mod fault_hook;
+pub(crate) mod comms_hook;
+pub(crate) mod elastic_hook;
+pub(crate) mod fault_hook;
 pub mod gas;
 pub mod hybrid;
 pub mod pregel;
@@ -39,12 +39,9 @@ pub mod program;
 pub mod replicas;
 pub mod report;
 pub(crate) mod sharding;
-pub mod telemetry_hook;
+pub(crate) mod telemetry_hook;
 
 pub use async_gas::AsyncGas;
-pub use comms_hook::apply_comms_model;
-pub use elastic_hook::apply_elastic_model;
-pub use fault_hook::apply_fault_model;
 pub use gas::SyncGas;
 pub use gp_elastic::{ElasticConfig, ElasticPlan, ElasticRates, RepairPolicy};
 pub use gp_net::{CommsConfig, RetryPolicy, SpeculationPolicy};
@@ -56,4 +53,3 @@ pub use replicas::ReplicaTable;
 pub use report::{
     base_memory_per_machine, monitor_run, ComputeReport, EngineConfig, SuperstepStats,
 };
-pub use telemetry_hook::record_compute_telemetry;

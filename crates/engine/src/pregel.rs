@@ -404,10 +404,7 @@ impl Pregel {
             first.wall_seconds += placement_penalty_s;
         }
         let mut report = ComputeReport::new(program.name(), "pregel", steps, converged);
-        crate::fault_hook::apply_fault_model(&mut report, cfg, assignment);
-        crate::elastic_hook::apply_elastic_model(&mut report, cfg, assignment);
-        crate::comms_hook::apply_comms_model(&mut report, cfg);
-        crate::telemetry_hook::record_compute_telemetry(cfg, &report);
+        cfg.finish_report(&mut report, assignment);
         Ok((states, report))
     }
 }

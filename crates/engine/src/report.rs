@@ -153,6 +153,19 @@ impl EngineConfig {
     pub fn machine_of(&self, partition: u32) -> usize {
         (partition % self.spec.machines) as usize
     }
+
+    /// The postlude every engine runs on its finished report, in a fixed
+    /// order: the fault model (stretched walls, checkpoints, crash
+    /// replays), then elasticity (which prices membership changes against
+    /// the replayed timeline), then the comms protocols, and last the
+    /// telemetry that narrates the final timeline. Each hook is a no-op
+    /// when its part of the configuration is inactive.
+    pub fn finish_report(&self, report: &mut ComputeReport, assignment: &Assignment) {
+        crate::fault_hook::apply_fault_model(report, self, assignment);
+        crate::elastic_hook::apply_elastic_model(report, self, assignment);
+        crate::comms_hook::apply_comms_model(report, self);
+        crate::telemetry_hook::record_compute_telemetry(self, report);
+    }
 }
 
 /// Metrics for one synchronous superstep (or async epoch).

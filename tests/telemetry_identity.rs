@@ -135,14 +135,14 @@ fn traced_job_threads(sink: &TelemetrySink, threads: u32) -> gp_bench::JobResult
     let mut pipeline = Pipeline::new(0.05, 11)
         .with_telemetry(sink.clone())
         .with_threads(threads);
-    pipeline.run_with_faults(
+    pipeline.run_with(
         Dataset::LiveJournal,
         Strategy::Hdrf,
-        &ClusterSpec::local_9(),
         EngineKind::PowerGraph,
         App::PageRankFixed(5),
-        FaultPlan::crash_at(3, 2),
-        CheckpointPolicy::every(2),
+        EngineConfig::new(ClusterSpec::local_9())
+            .with_fault_plan(FaultPlan::crash_at(3, 2))
+            .with_checkpoint(CheckpointPolicy::every(2)),
     )
 }
 
@@ -285,16 +285,16 @@ fn traced_elastic_job(
     let mut pipeline = Pipeline::new(0.05, 11)
         .with_telemetry(sink.clone())
         .with_threads(1);
-    pipeline.run_with_elastic(
+    pipeline.run_with(
         Dataset::LiveJournal,
         Strategy::Hdrf,
-        &ClusterSpec::local_9(),
         EngineKind::PowerGraph,
         App::PageRankFixed(5),
-        FaultPlan::crash_at(3, 2),
-        CheckpointPolicy::every(2),
-        CommsConfig::disabled(),
-        elastic,
+        EngineConfig::new(ClusterSpec::local_9())
+            .with_fault_plan(FaultPlan::crash_at(3, 2))
+            .with_checkpoint(CheckpointPolicy::every(2))
+            .with_comms(CommsConfig::disabled())
+            .with_elastic(elastic),
     )
 }
 
